@@ -3,7 +3,6 @@ numerical certification of their monotonicity and convexity properties."""
 
 from .specfun import (
     DomainError,
-    EvalConfig,
     EULER_GAMMA,
     PI,
     ZETA3,

@@ -6,17 +6,20 @@ and produces a :class:`ClaimReport`.  Certification is numerical evidence,
 not proof: "strictly" claims are accepted at margin >= -tol and flagged
 strict when the minimum observed margin exceeds 10*tol.
 
+Every check reduces to arrays of margins (>= 0 where the relation holds) at
+sample locations, and one core folds them into a report and its verdict.
 The module also houses the parameter-region taxonomy D1..D11 and the
 catalog of named claims driven by the command line (`verify --claim ...`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,66 +28,69 @@ from . import families as fam
 from . import critical
 
 __all__ = [
-    "Region",
-    "RegionError",
-    "classify",
-    "SamplePlan",
-    "Verdict",
-    "Witness",
-    "ClaimReport",
-    "certify_monotone",
-    "certify_lcm",
-    "certify_logconvex",
-    "certify_geoconvex",
-    "certify_geoconvex_piecewise",
-    "certify_inequality",
-    "certify_comparisons",
-    "certify_constants",
-    "certify_range",
-    "expect_violation",
-    "claim_ids",
+    "Region", "RegionError", "classify", "SamplePlan", "Verdict", "Witness", "ClaimReport",
+    "C0_BRACKET", "certify_monotone", "certify_lcm", "certify_logconvex", "certify_geoconvex",
+    "certify_geoconvex_piecewise", "certify_inequality", "certify_comparisons",
+    "certify_constants", "certify_range", "segments", "expect_violation", "claim_ids",
     "run_claims",
 ]
 
 _PSI1_2 = math.pi**2 / 6.0 - 1.0
+
+# Published bracket of the log-convexity cutoff c0, printed as 0.77797 / 0.79837.
+C0_BRACKET = (75.0 * (28.0 * ZETA3 + PI**3) / 64.0 - 75.0,
+              18.0 * (3.0 - EULER_GAMMA - math.log(PI) - PI**2 / 8.0))
 
 
 class RegionError(ValueError):
     """Parameters outside the region a corollary requires."""
 
 
-class Region(Enum):
-    D1 = "D1"
-    D2 = "D2"
-    D3 = "D3"
-    D4 = "D4"
-    D5 = "D5"
-    D6 = "D6"
-    D7 = "D7"
-    D8 = "D8"
-    D9 = "D9"
-    D10 = "D10"
-    D11 = "D11"
+# Region name -> membership test of (a, c): the paper's regions D1..D11, then
+# the strip that ineq1 and ineq2 require.
+_REGIONS: dict[str, Callable[[float, float], bool]] = {
+    "D1": lambda a, c: 0.5 <= a <= 1.0,
+    "D2": lambda a, c: a >= 2.0,
+    "D3": lambda a, c: 1.0 < a < 2.0 and c >= 0.0,
+    "D4": lambda a, c: 1.0 < a < 2.0 and c <= 0.0,
+    "D5": lambda a, c: 0.5 <= a <= 1.0 and c >= 1.0,
+    "D6": lambda a, c: a >= 2.0 and c >= 1.0,
+    "D7": lambda a, c: a == 1.0 and c <= 0.0,
+    "D8": lambda a, c: a == 2.0 and c <= 0.0,
+    "D9": lambda a, c: 0.5 <= a <= 1.0 and c <= 0.0,
+    "D10": lambda a, c: a >= 2.0 and c <= 0.0,
+    "D11": lambda a, c: a == 2.0 and c <= _PSI1_2,
+    "1 <= a <= 2": lambda a, c: 1.0 <= a <= 2.0,
+}
 
+Region = Enum("Region", [(name, name) for name in _REGIONS if name.startswith("D")])
 
-_REGION_TESTS: dict[Region, Callable[[float, float], bool]] = {
-    Region.D1: lambda a, c: 0.5 <= a <= 1.0,
-    Region.D2: lambda a, c: a >= 2.0,
-    Region.D3: lambda a, c: 1.0 < a < 2.0 and c >= 0.0,
-    Region.D4: lambda a, c: 1.0 < a < 2.0 and c <= 0.0,
-    Region.D5: lambda a, c: 0.5 <= a <= 1.0 and c >= 1.0,
-    Region.D6: lambda a, c: a >= 2.0 and c >= 1.0,
-    Region.D7: lambda a, c: a == 1.0 and c <= 0.0,
-    Region.D8: lambda a, c: a == 2.0 and c <= 0.0,
-    Region.D9: lambda a, c: 0.5 <= a <= 1.0 and c <= 0.0,
-    Region.D10: lambda a, c: a >= 2.0 and c <= 0.0,
-    Region.D11: lambda a, c: a == 2.0 and c <= _PSI1_2,
+# Inequality id -> (orientation, regions whose union it needs), tried in order.
+_INEQ_REGIONS: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
+    "ineq1": (("direct", ("1 <= a <= 2",)),),
+    "ineq2": (("direct", ("1 <= a <= 2",)),),
+    "ineq3": (("direct", ("D1", "D2")),),
+    "ineq4": (("direct", ("D5", "D6")), ("reversed", ("D7", "D8"))),
+    "ineq5": (("direct", ("D6",)), ("reversed", ("D8",))),
+    "ineq6": (("direct", ("D6",)), ("reversed", ("D11",))),
+    "ineq7": (("direct", ("D9", "D10")),),
 }
 
 
 def classify(a: float, c: float) -> set[Region]:
     """All regions D1..D11 containing (a, c); regions overlap."""
-    return {r for r, test in _REGION_TESTS.items() if test(a, c)}
+    return {r for r in Region if _REGIONS[r.value](a, c)}
+
+
+def _orientation(id_: str, a: float, c: float) -> tuple[str, str]:
+    """(orientation, region description) of inequality id_ at (a, c)."""
+    rules = _INEQ_REGIONS[id_]
+    doc = " / ".join(" u ".join(names) + (f" ({o})" if len(rules) > 1 else "")
+                     for o, names in rules)
+    for orient, names in rules:
+        if any(_REGIONS[n](a, c) for n in names):
+            return orient, doc
+    raise RegionError(f"(a={a}, c={c}) is outside the region required by {id_} ({doc})")
 
 
 class Verdict(Enum):
@@ -119,19 +125,14 @@ class SamplePlan:
     def points(self, excluded: Sequence[float] = ()) -> np.ndarray:
         """Sorted sample points, margin-excluded around `excluded` centers."""
         lo, hi = self.interval
+        rng = np.random.default_rng(self.seed)
         if lo > 0.0:
             grid = np.geomspace(lo, hi, self.grid_points)
+            rand = np.exp(rng.uniform(math.log(lo), math.log(hi), self.random_points))
         else:
             grid = np.linspace(lo, hi, self.grid_points)
-        rng = np.random.default_rng(self.seed)
-        if self.random_points:
-            if lo > 0.0:
-                rand = np.exp(rng.uniform(math.log(lo), math.log(hi), self.random_points))
-            else:
-                rand = rng.uniform(lo, hi, self.random_points)
-            pts = np.concatenate([grid, rand])
-        else:
-            pts = grid
+            rand = rng.uniform(lo, hi, self.random_points)
+        pts = np.concatenate([grid, rand])
         keep = np.abs(pts) > self.margin
         for center in excluded:
             keep &= np.abs(pts - center) > self.margin
@@ -143,26 +144,17 @@ class SamplePlan:
         n = math.isqrt(self.grid_points - 1) + 1
         return np.geomspace(max(lo, 1e-12), hi, n)
 
-    def pairs(self) -> list[tuple[float, float]]:
-        """Grid x grid pairs (diagonal included) plus seeded random pairs."""
+    def pairs(self) -> np.ndarray:
+        """(N, 2) array: grid x grid pairs (diagonal included), then seeded random pairs."""
         axis = self.pair_points()
-        out = [(float(x), float(y)) for x in axis for y in axis]
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rng = np.random.default_rng(self.seed)
-        lo, hi = self.interval
-        lo = max(lo, 1e-12)
+        lo, hi = max(self.interval[0], 1e-12), self.interval[1]
         raw = np.exp(rng.uniform(math.log(lo), math.log(hi), (self.random_points, 2)))
-        out.extend((float(x), float(y)) for x, y in raw)
-        return out
+        return np.concatenate([grid, raw])
 
     def to_dict(self) -> dict:
-        return {
-            "interval": list(self.interval),
-            "grid_points": self.grid_points,
-            "random_points": self.random_points,
-            "seed": self.seed,
-            "tol": self.tol,
-            "margin": self.margin,
-        }
+        return {**asdict(self), "interval": list(self.interval)}
 
 
 DEFAULT_PLAN = SamplePlan()
@@ -207,61 +199,83 @@ class ClaimReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _finish(report: ClaimReport) -> ClaimReport:
-    if report.verdict is Verdict.INCONCLUSIVE:
+# (where, margins, required): an (N, k) array of sample locations, N rows of
+# margins, and the relation each margin column checks (one string for all).
+Block = tuple[np.ndarray, object, "str | Sequence[str]"]
+
+
+def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
+           blocks: Callable[[], list[Block]], note: str = "") -> ClaimReport:
+    """The certification core: evaluate `blocks()` and fold it into a report.
+
+    A margin below -tol is a violation witness, listed block by block in
+    row-major order.  An evaluation error, a run that checks no margin, or
+    a non-finite margin makes the report inconclusive.
+    """
+    report = ClaimReport(claim_id, params, plan, Verdict.INCONCLUSIVE, note=note)
+    built = []
+    try:
+        for where, margins, required in blocks():
+            m = np.asarray(margins, dtype=float)
+            built.append((np.asarray(where, dtype=float),
+                          m.reshape(len(where), -1 if m.size else 0), required))
+    except (ValueError, ArithmeticError) as exc:
+        report.note = f"evaluation error: {exc}"
         return report
+    flat = np.concatenate([m.ravel() for _, m, _ in built] or [np.empty(0)])
+    if not flat.size or not np.isfinite(flat).all():
+        bad = np.count_nonzero(~np.isfinite(flat))
+        report.note = f"{bad} non-finite margins" if bad else "no margin was checked"
+        return report
+    report.min_margin = float(flat.min())
+    for where, m, required in built:
+        for i, j in zip(*np.nonzero(m < -plan.tol)):
+            label = required if isinstance(required, str) else required[j]
+            report.witnesses.append(Witness(tuple(where[i].tolist()), float(m[i, j]), label))
     report.verdict = Verdict.VIOLATED if report.witnesses else Verdict.CERTIFIED
-    report.strict = (
-        report.verdict is Verdict.CERTIFIED and report.min_margin > 10.0 * report.plan.tol
-    )
+    report.strict = report.verdict is Verdict.CERTIFIED and report.min_margin > 10.0 * plan.tol
     return report
 
 
-def _margins(report: ClaimReport, values: Iterable[tuple[tuple[float, ...], float, str]]) -> None:
-    """Fold (where, margin, relation) triples into the report.
-
-    A margin below -tol is a violation witness; the minimum margin is
-    tracked across all samples.
-    """
-    tol = report.plan.tol
-    for where, margin, relation in values:
-        if margin < report.min_margin:
-            report.min_margin = margin
-        if margin < -tol:
-            report.witnesses.append(Witness(where=where, observed=margin, required=relation))
+_DIRECTION_SIGN = {"increasing": 1.0, "decreasing": -1.0}
 
 
-def certify_monotone(
-    fn: Callable[[float], float],
-    plan: SamplePlan,
-    direction: str,
-    excluded: Sequence[float] = (),
-    claim_id: str = "monotone",
-    params: fam.Params = fam.Params(a=math.nan),
-) -> ClaimReport:
+def _monotone(fn: Callable[[float], float], plan: SamplePlan, direction: str,
+              excluded: Sequence[float] = ()) -> Block:
+    """Consecutive sample pairs and the signed differences of fn across them."""
+    x = plan.points(excluded)
+    diff = np.diff(np.array([fn(p) for p in x.tolist()], dtype=float))
+    return np.column_stack([x[:-1], x[1:]]), _DIRECTION_SIGN[direction] * diff, direction
+
+
+def certify_monotone(fn: Callable[[float], float], plan: SamplePlan, direction: str,
+                     excluded: Sequence[float] = (), claim_id: str = "monotone",
+                     params: fam.Params = fam.Params(a=math.nan)) -> ClaimReport:
     """Certify fn increasing/decreasing on the plan's sorted sample points."""
-    if direction not in ("increasing", "decreasing"):
+    if direction not in _DIRECTION_SIGN:
         raise ValueError(f"unknown direction {direction!r}")
-    report = ClaimReport(claim_id=claim_id, params=params, plan=plan, verdict=Verdict.CERTIFIED)
-    pts = plan.points(excluded)
-    try:
-        vals = [fn(float(x)) for x in pts]
-    except (ValueError, ArithmeticError) as exc:
-        report.verdict = Verdict.INCONCLUSIVE
-        report.note = f"evaluation error: {exc}"
-        return report
-    sign = 1.0 if direction == "increasing" else -1.0
-    _margins(
-        report,
-        (
-            ((float(pts[i]), float(pts[i + 1])), sign * (vals[i + 1] - vals[i]), direction)
-            for i in range(len(pts) - 1)
-        ),
-    )
-    return _finish(report)
+    return _check(claim_id, params, plan, lambda: [_monotone(fn, plan, direction, excluded)])
 
 
-def certify_lcm(a: float, max_order: int, plan: SamplePlan) -> ClaimReport:
+def segments(claim_id: str, params: fam.Params, plan: SamplePlan, fn: Callable[[float], float],
+             pieces: Sequence[tuple[tuple[float, float], str]], excluded: Sequence[float] = (),
+             note: str | None = None) -> ClaimReport:
+    """Certify fn monotone on each ((lo, hi), direction) piece, as one report.
+
+    Each piece is sampled on its own interval with an equal share of the
+    plan's grid (at least 16) and random points; a piece narrower than four
+    margins is skipped.  The note defaults to the number of pieces checked.
+    """
+    k = len(pieces)
+    kept = [(replace(plan, interval=iv, grid_points=max(plan.grid_points // k, 16),
+                     random_points=plan.random_points // k), direction)
+            for iv, direction in pieces if iv[1] - iv[0] >= 4.0 * plan.margin]
+    return _check(claim_id, params, plan, lambda: [_monotone(fn, p, d, excluded) for p, d in kept],
+                  f"{len(kept)} monotone segments" if note is None else note)
+
+
+def certify_lcm(a: float, max_order: int, plan: SamplePlan,
+                claim_id: str | None = None) -> ClaimReport:
     """Certify (-1)^n (log g1)^(n) > 0 for n = 1..max_order on the plan.
 
     The x = 0 endpoint is included for a in {1, 2} when the interval
@@ -269,51 +283,31 @@ def certify_lcm(a: float, max_order: int, plan: SamplePlan) -> ClaimReport:
     """
     if max_order > 8:
         raise ValueError("max_order above 8 exceeds the polygamma accuracy budget")
-    report = ClaimReport(
-        claim_id=f"lcm.a={a:g}", params=fam.Params(a=a), plan=plan, verdict=Verdict.CERTIFIED
-    )
-    pts = [float(x) for x in plan.points()]
     lo, hi = plan.interval
-    if a in (1.0, 2.0) and lo < 0.0 < hi:
-        pts.append(0.0)
 
-    def triples():
-        for x in pts:
-            for n in range(1, max_order + 1):
-                d = fam.log_g1_deriv(a, n, x)
-                yield (x, float(n)), (-1.0) ** n * d, "(-1)^n (log g1)^(n) > 0"
+    def blocks() -> list[Block]:
+        x = plan.points().tolist() + ([0.0] if a in (1.0, 2.0) and lo < 0.0 < hi else [])
+        xn = [(p, n) for p in x for n in range(1, max_order + 1)]
+        return [(np.array(xn, dtype=float).reshape(-1, 2),
+                 [(-1.0) ** n * fam.log_g1_deriv(a, n, p) for p, n in xn],
+                 "(-1)^n (log g1)^(n) > 0")]
 
-    try:
-        _margins(report, triples())
-    except (ValueError, ArithmeticError) as exc:
-        report.verdict = Verdict.INCONCLUSIVE
-        report.note = f"evaluation error: {exc}"
-        return report
-    return _finish(report)
+    return _check(claim_id or f"lcm.a={a:g}", fam.Params(a=a), plan, blocks)
 
 
-def certify_logconvex(a: float, c: float, plan: SamplePlan, sense: str) -> ClaimReport:
+def certify_logconvex(a: float, c: float, plan: SamplePlan, sense: str,
+                      claim_id: str | None = None) -> ClaimReport:
     """Certify the sign of (log g2)'' = (c - h3(x))/x^2 on the plan."""
     if sense not in ("convex", "concave"):
         raise ValueError(f"unknown sense {sense!r}")
-    report = ClaimReport(
-        claim_id=f"logconvex.{sense}", params=fam.Params(a=a, c=c), plan=plan,
-        verdict=Verdict.CERTIFIED,
-    )
     flip = 1.0 if sense == "convex" else -1.0
-    try:
-        _margins(
-            report,
-            (
-                ((x,), flip * (c - fam.h3(a, x)) / (x * x), f"(log g2)'' sign for {sense}")
-                for x in (float(p) for p in plan.points())
-            ),
-        )
-    except (ValueError, ArithmeticError) as exc:
-        report.verdict = Verdict.INCONCLUSIVE
-        report.note = f"evaluation error: {exc}"
-        return report
-    return _finish(report)
+
+    def blocks() -> list[Block]:
+        x = plan.points()
+        h3 = np.array([fam.h3(a, p) for p in x.tolist()], dtype=float)
+        return [(x[:, None], flip * (c - h3) / (x * x), f"(log g2)'' sign for {sense}")]
+
+    return _check(claim_id or f"logconvex.{sense}", fam.Params(a=a, c=c), plan, blocks)
 
 
 def _geo_slope(family: str, a: float, c: float) -> Callable[[float], float]:
@@ -324,50 +318,23 @@ def _geo_slope(family: str, a: float, c: float) -> Callable[[float], float]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def certify_geoconvex(
-    family: str, a: float, c: float, plan: SamplePlan, sense: str
-) -> ClaimReport:
+def certify_geoconvex(family: str, a: float, c: float, plan: SamplePlan, sense: str,
+                      claim_id: str | None = None) -> ClaimReport:
     """Geometric convexity via monotonicity of x f'(x)/f(x)."""
-    direction = "increasing" if sense == "convex" else "decreasing"
     return certify_monotone(
-        _geo_slope(family, a, c),
-        plan,
-        direction,
-        claim_id=f"geoconvex.{family}.{sense}",
-        params=fam.Params(a=a, c=c),
-    )
+        _geo_slope(family, a, c), plan, "increasing" if sense == "convex" else "decreasing",
+        claim_id=claim_id or f"geoconvex.{family}.{sense}", params=fam.Params(a=a, c=c))
 
 
-def certify_geoconvex_piecewise(
-    family: str, a: float, c: float, plan: SamplePlan
-) -> ClaimReport:
+def certify_geoconvex_piecewise(family: str, a: float, c: float, plan: SamplePlan,
+                                claim_id: str | None = None) -> ClaimReport:
     """Concave on (0, x3), convex on (x3, inf), split at the solved x3."""
     x3 = critical.find_x3(a).value
-    lo, hi = plan.interval
-    fn = _geo_slope(family, a, c)
-    left = certify_monotone(
-        fn, SamplePlan((lo, x3 - plan.margin), plan.grid_points // 2, plan.random_points // 2,
-                       plan.seed, plan.tol, plan.margin),
-        "decreasing",
-    )
-    right = certify_monotone(
-        fn, SamplePlan((x3 + plan.margin, hi), plan.grid_points // 2, plan.random_points // 2,
-                       plan.seed, plan.tol, plan.margin),
-        "increasing",
-    )
-    report = ClaimReport(
-        claim_id=f"geoconvex.{family}.piecewise",
-        params=fam.Params(a=a, c=c),
-        plan=plan,
-        verdict=Verdict.CERTIFIED,
-        witnesses=left.witnesses + right.witnesses,
-        min_margin=min(left.min_margin, right.min_margin),
-        note=f"split at x3={x3!r}",
-    )
-    if Verdict.INCONCLUSIVE in (left.verdict, right.verdict):
-        report.verdict = Verdict.INCONCLUSIVE
-        return report
-    return _finish(report)
+    (lo, hi), m = plan.interval, plan.margin
+    return segments(claim_id or f"geoconvex.{family}.piecewise", fam.Params(a=a, c=c), plan,
+                    _geo_slope(family, a, c),
+                    [((lo, x3 - m), "decreasing"), ((x3 + m, hi), "increasing")],
+                    note=f"split at x3={x3!r}")
 
 
 # --- corollary inequalities -------------------------------------------------
@@ -386,82 +353,29 @@ def _log_mid_ratio(a: float, x: float, y: float) -> float:
     return _lg_over(a, 0.5 * (x + y)) - 0.5 * (_lg_over(a, x) + _lg_over(a, y))
 
 
-def _require_region(id_: str, a: float, c: float, allowed: str) -> str:
-    """Return the orientation key for (a, c), or raise RegionError."""
-    regions = classify(a, c)
-    in_12 = 1.0 <= a <= 2.0
-    table = {
-        "ineq1": [("direct", in_12)],
-        "ineq2": [("direct", in_12)],
-        "ineq3": [("direct", bool(regions & {Region.D1, Region.D2}))],
-        "ineq4": [
-            ("direct", bool(regions & {Region.D5, Region.D6})),
-            ("reversed", bool(regions & {Region.D7, Region.D8})),
-        ],
-        "ineq5": [
-            ("direct", Region.D6 in regions),
-            ("reversed", Region.D8 in regions),
-        ],
-        "ineq6": [
-            ("direct", Region.D6 in regions),
-            ("reversed", Region.D11 in regions),
-        ],
-        "ineq7": [("direct", bool(regions & {Region.D9, Region.D10}))],
-    }
-    for key, ok in table[id_]:
-        if ok:
-            return key
-    raise RegionError(f"(a={a}, c={c}) is outside the region required by {id_} ({allowed})")
-
-
-_INEQ_REGION_DOC = {
-    "ineq1": "1 <= a <= 2",
-    "ineq2": "1 <= a <= 2",
-    "ineq3": "D1 u D2",
-    "ineq4": "D5 u D6 (direct) / D7 u D8 (reversed)",
-    "ineq5": "D6 (direct) / D8 (reversed)",
-    "ineq6": "D6 (direct) / D11 (reversed)",
-    "ineq7": "D9 u D10",
-}
-
-
-def _ineq_margins(id_: str, orient: str, a: float, c: float, x: float, y: float):
+def _ineq_margins(id_: str, orient: str, a: float, c: float, x: float, y: float) -> list[float]:
     """Log-domain margins (>= 0 means the inequality holds) for one pair."""
     flip = -1.0 if orient == "reversed" else 1.0
-    if id_ == "ineq1":
-        if x == y:
-            return []
+    if id_ in ("ineq1", "ineq4", "ineq6"):
         x, y = min(x, y), max(x, y)
+    if id_ == "ineq1":
         return [-_log_ratio(a, x, y)]
     if id_ == "ineq2":
         return [_log_mid_ratio(a, x, y)]
-    if id_ == "ineq3":
-        r = _log_ratio(a, x, y)
-        lxy = math.log(x / y)
-        return [r - fam.h2(a, y) * lxy, fam.h2(a, x) * lxy - r]
     if id_ == "ineq4":
-        if x == y:
-            return []
-        x, y = min(x, y), max(x, y)
         return [flip * (_log_ratio(a, x, y) - c * math.log(x / y))]
     if id_ == "ineq5":
-        m = _log_mid_ratio(a, x, y)
         bound = c * math.log(0.5 * (x + y) / math.sqrt(x * y))
-        return [flip * (bound - m)]
+        return [flip * (bound - _log_mid_ratio(a, x, y))]
     if id_ == "ineq6":
-        if x == y:
-            return []
-        x, y = min(x, y), max(x, y)
-        bound = c * math.log((x + a) / (y + a))
-        return [flip * (_log_ratio(a, x, y) - bound)]
-    if id_ == "ineq7":
-        r = _log_ratio(a, x, y)
-        lxy = math.log(x / y)
-        shift = c * math.log((x + a) / (y + a))
-        lower = (fam.h2(a, y) - c * y / (y + a)) * lxy + shift
-        upper = (fam.h2(a, x) - c * x / (x + a)) * lxy + shift
-        return [r - lower, upper - r]
-    raise ValueError(f"unknown inequality id {id_!r}")
+        return [flip * (_log_ratio(a, x, y) - c * math.log((x + a) / (y + a)))]
+    r, lxy = _log_ratio(a, x, y), math.log(x / y)
+    if id_ == "ineq3":
+        return [r - fam.h2(a, y) * lxy, fam.h2(a, x) * lxy - r]
+    shift = c * math.log((x + a) / (y + a))  # ineq7
+    lower = (fam.h2(a, y) - c * y / (y + a)) * lxy + shift
+    upper = (fam.h2(a, x) - c * x / (x + a)) * lxy + shift
+    return [r - lower, upper - r]
 
 
 # Equality holds exactly at x = y for these; checked at |ratio - bound| <= 1e-10.
@@ -469,39 +383,83 @@ _EQUALITY_IDS = {"ineq2", "ineq3", "ineq5", "ineq7"}
 _EQUALITY_TOL = 1e-10
 
 
-def certify_inequality(id_: str, params: fam.Params, plan: SamplePlan) -> ClaimReport:
-    """Certify one corollary inequality over grid x grid plus random pairs."""
-    if id_ not in _INEQ_REGION_DOC:
+def certify_inequality(id_: str, params: fam.Params, plan: SamplePlan,
+                       claim_id: str | None = None) -> ClaimReport:
+    """Certify one corollary inequality over grid x grid plus random pairs.
+
+    Pairs closer than tol are skipped.  Where the inequality is an equality
+    at x = y, the diagonal pairs are checked for it; their witnesses follow
+    the others.
+    """
+    if id_ not in _INEQ_REGIONS:
         raise ValueError(f"unknown inequality id {id_!r}")
     a, c = params.a, params.c
-    orient = _require_region(id_, a, c, _INEQ_REGION_DOC[id_])
-    report = ClaimReport(
-        claim_id=f"{id_}.{orient}", params=params, plan=plan, verdict=Verdict.CERTIFIED,
-        note=f"region {_INEQ_REGION_DOC[id_]}, orientation {orient}",
-    )
+    orient, doc = _orientation(id_, a, c)
 
-    def triples():
-        for x, y in plan.pairs():
-            if abs(x - y) <= plan.tol:
-                if id_ in _EQUALITY_IDS and x == y:
-                    # equality case: ratio must match the bound exactly
-                    gap = max(abs(m) for m in _ineq_margins(id_, orient, a, c, x, y))
-                    if abs(math.expm1(gap)) > _EQUALITY_TOL:
-                        yield (x, y), -abs(math.expm1(gap)), "equality at x = y"
-                continue
-            for m in _ineq_margins(id_, orient, a, c, x, y):
-                yield (x, y), m, f"{id_} ({orient})"
+    def blocks() -> list[Block]:
+        p = plan.pairs()
+        apart = p[np.abs(p[:, 0] - p[:, 1]) > plan.tol]
+        out = [(apart, [_ineq_margins(id_, orient, a, c, x, y) for x, y in apart.tolist()],
+                f"{id_} ({orient})")]
+        if id_ in _EQUALITY_IDS:
+            diag = p[p[:, 0] == p[:, 1]]
+            gap = np.array([abs(math.expm1(max(map(abs, _ineq_margins(id_, orient, a, c, x, x)))))
+                            for x, _ in diag.tolist()], dtype=float)
+            out.append((diag[gap > _EQUALITY_TOL], -gap[gap > _EQUALITY_TOL], "equality at x = y"))
+        return out
 
-    try:
-        _margins(report, triples())
-    except (ValueError, ArithmeticError) as exc:
-        report.verdict = Verdict.INCONCLUSIVE
-        report.note = f"evaluation error: {exc}"
-        return report
-    return _finish(report)
+    return _check(claim_id or f"{id_}.{orient}", params, plan, blocks,
+                  f"region {doc}, orientation {orient}")
 
 
 # --- comparison-of-inequalities remarks ------------------------------------
+
+def _cmp_margins(side: str, a: float, c: float, x: float, y: float) -> tuple[float, ...]:
+    """Margins of one comparison side at 0 < x < y; see certify_comparisons."""
+    lxy = math.log(x / y)
+    if side == "mid":
+        return _log_mid_ratio(a, x, y), -c * math.log(0.5 * (x + y) / math.sqrt(x * y))
+    if side == "upper":
+        up = fam.h2(a, x) * lxy
+        return up - _log_ratio(a, x, y), -up, c * lxy
+    if side == "lower":
+        low = fam.h2(a, y) * lxy
+        return _log_ratio(a, x, y) - low, low - c * lxy
+    shift = c * math.log((x + a) / (y + a))  # "g3"
+    upper = (fam.h2(a, x) - c * x / (x + a)) * lxy + shift
+    return upper - _log_ratio(a, x, y), shift - upper
+
+
+_LABELS = {
+    "mid": ("midpoint ratio >= 1", "power bound <= 1"),
+    "upper": ("ratio <= closed-form upper bound", "closed-form upper bound < 1",
+              "reversed power bound >= 1"),
+    "lower": ("closed-form lower bound <= ratio", "power bound <= closed-form lower bound"),
+    "g3": ("ratio <= g3 upper bound", "g3 upper bound <= power bound"),
+}
+
+# Comparison id -> (note, (side, a, c) checked in turn); the report shows the first (a, c).
+_COMPARISONS = {
+    "cmp1": ("midpoint ratio >= 1 >= ((x+y)/(2 sqrt(xy)))^c on D8", (("mid", 2.0, -1.0),)),
+    "cmp2": ("two-sided closed-form bounds sharper than the power bounds",
+             (("upper", 1.0, -1.0), ("upper", 2.0, -1.0),  # D7, D8
+              ("lower", 0.75, 1.5), ("lower", 3.0, 1.5))),  # D5, D6
+    "cmp3": ("g3 closed-form upper bound sharper than ((x+a)/(y+a))^c on D8",
+             (("g3", 2.0, -0.5),)),
+}
+
+
+def _comparison(plan: SamplePlan, claim_id: str) -> ClaimReport:
+    note, sides = _COMPARISONS[claim_id]
+
+    def blocks() -> list[Block]:
+        p = plan.pairs()
+        p = np.sort(p[np.abs(p[:, 0] - p[:, 1]) > plan.tol], axis=1)
+        return [(p, [_cmp_margins(side, a, c, x, y) for x, y in p.tolist()], _LABELS[side])
+                for side, a, c in sides]
+
+    return _check(claim_id, fam.Params(*sides[0][1:]), plan, blocks, note)
+
 
 def certify_comparisons(plan: SamplePlan = DEFAULT_PLAN) -> list[ClaimReport]:
     """The three "sharper bound" orderings between the corollary inequalities.
@@ -515,108 +473,37 @@ def certify_comparisons(plan: SamplePlan = DEFAULT_PLAN) -> list[ClaimReport]:
     cmp3: on a=2, c<=0 the closed-form upper bound of the two-sided g3
           inequality stays below ((x+a)/(y+a))^c.
     """
-    reports: list[ClaimReport] = []
-
-    def ordered_pairs():
-        for x, y in plan.pairs():
-            if abs(x - y) <= plan.tol:
-                continue
-            yield (min(x, y), max(x, y))
-
-    # cmp1 at (a, c) = (2, -1)
-    a, c = 2.0, -1.0
-    r1 = ClaimReport("cmp1", fam.Params(a=a, c=c), plan, Verdict.CERTIFIED,
-                     note="midpoint ratio >= 1 >= ((x+y)/(2 sqrt(xy)))^c on D8")
-    def cmp1():
-        for x, y in ordered_pairs():
-            m = _log_mid_ratio(a, x, y)
-            bound = c * math.log(0.5 * (x + y) / math.sqrt(x * y))
-            yield (x, y), m, "midpoint ratio >= 1"
-            yield (x, y), -bound, "power bound <= 1"
-    _margins(r1, cmp1())
-    reports.append(_finish(r1))
-
-    # cmp2 on D7/D8 (right side of the two-sided bound) and D5/D6 (left side)
-    r2 = ClaimReport("cmp2", fam.Params(a=1.0, c=-1.0), plan, Verdict.CERTIFIED,
-                     note="two-sided closed-form bounds sharper than the power bounds")
-    def cmp2():
-        for a2, c2 in ((1.0, -1.0), (2.0, -1.0)):  # D7, D8
-            for x, y in ordered_pairs():
-                r = _log_ratio(a2, x, y)
-                up = fam.h2(a2, x) * math.log(x / y)
-                yield (x, y), up - r, "ratio <= closed-form upper bound"
-                yield (x, y), -up, "closed-form upper bound < 1"
-                yield (x, y), c2 * math.log(x / y), "reversed power bound >= 1"
-        for a2, c2 in ((0.75, 1.5), (3.0, 1.5)):  # D5, D6
-            for x, y in ordered_pairs():
-                r = _log_ratio(a2, x, y)
-                low = fam.h2(a2, y) * math.log(x / y)
-                yield (x, y), r - low, "closed-form lower bound <= ratio"
-                yield (x, y), low - c2 * math.log(x / y), "power bound <= closed-form lower bound"
-    _margins(r2, cmp2())
-    reports.append(_finish(r2))
-
-    # cmp3 at (a, c) = (2, -0.5)
-    a, c = 2.0, -0.5
-    r3 = ClaimReport("cmp3", fam.Params(a=a, c=c), plan, Verdict.CERTIFIED,
-                     note="g3 closed-form upper bound sharper than ((x+a)/(y+a))^c on D8")
-    def cmp3():
-        for x, y in ordered_pairs():
-            r = _log_ratio(a, x, y)
-            shift = c * math.log((x + a) / (y + a))
-            upper = (fam.h2(a, x) - c * x / (x + a)) * math.log(x / y) + shift
-            yield (x, y), upper - r, "ratio <= g3 upper bound"
-            yield (x, y), shift - upper, "g3 upper bound <= power bound"
-    _margins(r3, cmp3())
-    reports.append(_finish(r3))
-    return reports
+    return [_comparison(plan, cid) for cid in _COMPARISONS]
 
 
-def certify_constants(plan: SamplePlan = DEFAULT_PLAN) -> ClaimReport:
+def certify_constants(plan: SamplePlan = DEFAULT_PLAN,
+                      claim_id: str = "constants.c0-bracket") -> ClaimReport:
     """Recompute the published bracket constants for the log-convexity cutoff.
 
     lower = 75(28 zeta(3) + pi^3)/64 - 75, printed prefix 0.77797
     upper = 18(3 - gamma - log pi - pi^2/8), printed prefix 0.79837
     """
-    lower = 75.0 * (28.0 * ZETA3 + PI**3) / 64.0 - 75.0
-    upper = 18.0 * (3.0 - EULER_GAMMA - math.log(PI) - PI**2 / 8.0)
-    report = ClaimReport("constants.c0-bracket", fam.Params(a=math.nan), plan, Verdict.CERTIFIED,
-                         note=f"lower={lower!r} upper={upper!r}")
-    checks = [
-        ((lower,), 1.0 if math.floor(lower * 1e5) == 77797 else -1.0, "prefix 0.77797"),
-        ((upper,), 1.0 if math.floor(upper * 1e5) == 79837 else -1.0, "prefix 0.79837"),
-        ((lower, upper), upper - lower, "lower < upper"),
-    ]
-    _margins(report, checks)
-    return _finish(report)
+    lower, upper = C0_BRACKET
+    return _check(claim_id, fam.Params(a=math.nan), plan, lambda: [
+        ([[lower]], [1.0 if math.floor(lower * 1e5) == 77797 else -1.0], "prefix 0.77797"),
+        ([[upper]], [1.0 if math.floor(upper * 1e5) == 79837 else -1.0], "prefix 0.79837"),
+        ([[lower, upper]], [upper - lower], "lower < upper"),
+    ], f"lower={lower!r} upper={upper!r}")
 
 
-def certify_range(
-    fn: Callable[[float], float],
-    plan: SamplePlan,
-    lower: float = -math.inf,
-    upper: float = math.inf,
-    claim_id: str = "range",
-    params: fam.Params = fam.Params(a=math.nan),
-) -> ClaimReport:
+def certify_range(fn: Callable[[float], float], plan: SamplePlan, lower: float = -math.inf,
+                  upper: float = math.inf, claim_id: str = "range",
+                  params: fam.Params = fam.Params(a=math.nan)) -> ClaimReport:
     """Certify fn(x) in the open interval (lower, upper) on the plan."""
-    report = ClaimReport(claim_id=claim_id, params=params, plan=plan, verdict=Verdict.CERTIFIED)
+    finite = [not math.isinf(lower), not math.isinf(upper)]
+    labels = [s for s, f in zip((f"value > {lower}", f"value < {upper}"), finite) if f]
 
-    def triples():
-        for x in (float(p) for p in plan.points()):
-            v = fn(x)
-            if not math.isinf(lower):
-                yield (x,), v - lower, f"value > {lower}"
-            if not math.isinf(upper):
-                yield (x,), upper - v, f"value < {upper}"
+    def blocks() -> list[Block]:
+        x = plan.points()
+        v = np.array([fn(p) for p in x.tolist()], dtype=float)
+        return [(x[:, None], np.column_stack([v - lower, upper - v])[:, finite], labels)]
 
-    try:
-        _margins(report, triples())
-    except (ValueError, ArithmeticError) as exc:
-        report.verdict = Verdict.INCONCLUSIVE
-        report.note = f"evaluation error: {exc}"
-        return report
-    return _finish(report)
+    return _check(claim_id, params, plan, blocks)
 
 
 def expect_violation(inner: ClaimReport, claim_id: str) -> ClaimReport:
@@ -625,235 +512,143 @@ def expect_violation(inner: ClaimReport, claim_id: str) -> ClaimReport:
     When the sweep finds no witness the result is inconclusive, never
     "violated": absence of a counterexample is not evidence either way.
     """
-    report = ClaimReport(
-        claim_id=claim_id, params=inner.params, plan=inner.plan, verdict=Verdict.INCONCLUSIVE,
-        witnesses=inner.witnesses,
-        min_margin=inner.min_margin,
-        note=f"expects a violation of inner claim {inner.claim_id!r}",
-    )
-    if inner.verdict is Verdict.VIOLATED:
-        report.verdict = Verdict.CERTIFIED
-    return report
+    verdict = Verdict.CERTIFIED if inner.verdict is Verdict.VIOLATED else Verdict.INCONCLUSIVE
+    return ClaimReport(claim_id, inner.params, inner.plan, verdict, inner.witnesses,
+                       inner.min_margin, note=f"expects a violation of inner claim "
+                                              f"{inner.claim_id!r}")
 
 
 # --- claim catalog ----------------------------------------------------------
 
-def _plan(interval: tuple[float, float], base: SamplePlan) -> SamplePlan:
-    return SamplePlan(interval, base.grid_points, base.random_points, base.seed,
-                      base.tol, base.margin)
-
-
-def _with_id(report: ClaimReport, claim_id: str) -> ClaimReport:
-    report.claim_id = claim_id
-    return report
-
-
-def _claim_thm1_mono(a: float, plan: SamplePlan) -> ClaimReport:
+def _thm1_mono(plan: SamplePlan, claim_id: str, a: float) -> ClaimReport:
     """Theorem 1(1) monotonicity sign pattern of g1, per solved critical points."""
-    cid = f"thm1.1.mono.a={a:g}"
-    lo = -a + max(0.01, abs(a) * 1e-3) if a < 0 else max(-a + 0.01, plan.interval[0] - 52.0)
-    hi = plan.interval[1]
-    fn = lambda x: fam.log_g1(a, x)
-    segments: list[tuple[tuple[float, float], str]]
+    hi, m = plan.interval[1], plan.margin
     excl: list[float] = []
     if a <= 0:
-        x0 = critical.find_x0(a).value
-        segments = [((lo, x0), "increasing"), ((x0, hi), "decreasing")]
-        excl = [x0]
+        lo = -a + max(0.01, abs(a) * 1e-3) if a < 0 else max(-a + 0.01, plan.interval[0] - 52.0)
+        excl = [critical.find_x0(a).value]
+        pieces = [((lo, excl[0]), "increasing"), ((excl[0], hi), "decreasing")]
     elif 0 < a < 1 or a > 2:
-        p1, p2 = critical.find_x1_x2(a)
-        x1, x2 = p1.value, p2.value
-        segments = [
-            ((-a + 0.01, x1), "decreasing"),
-            ((x1, 0.0), "increasing"),
-            ((0.0, x2), "increasing"),
-            ((x2, hi), "decreasing"),
-        ]
-        excl = [x1, x2]
+        excl = [p.value for p in critical.find_x1_x2(a)]
+        x1, x2 = excl
+        pieces = [((-a + 0.01, x1), "decreasing"), ((x1, 0.0), "increasing"),
+                  ((0.0, x2), "increasing"), ((x2, hi), "decreasing")]
     else:
-        segments = [((-a + 0.01, 0.0), "decreasing"), ((0.0, hi), "decreasing")]
-    sub_reports = []
-    for (slo, shi), direction in segments:
-        slo += plan.margin
-        shi -= plan.margin
-        if shi - slo < 4.0 * plan.margin:
-            continue
-        sub = certify_monotone(
-            fn,
-            SamplePlan((slo, shi), max(plan.grid_points // len(segments), 16),
-                       plan.random_points // len(segments), plan.seed, plan.tol, plan.margin),
-            direction,
-            excluded=excl,
-        )
-        sub_reports.append(sub)
-    report = ClaimReport(cid, fam.Params(a=a), plan, Verdict.CERTIFIED,
-                         witnesses=[w for s in sub_reports for w in s.witnesses],
-                         min_margin=min(s.min_margin for s in sub_reports),
-                         note=f"{len(sub_reports)} monotone segments")
-    if any(s.verdict is Verdict.INCONCLUSIVE for s in sub_reports):
-        report.verdict = Verdict.INCONCLUSIVE
-        return report
-    return _finish(report)
+        pieces = [((-a + 0.01, 0.0), "decreasing"), ((0.0, hi), "decreasing")]
+    return segments(claim_id, fam.Params(a=a), plan, lambda x: fam.log_g1(a, x),
+                    [((s + m, e - m), d) for (s, e), d in pieces], excl)
 
 
-def _builders(plan: SamplePlan) -> dict[str, Callable[[], list[ClaimReport]]]:
-    pos = _plan((1e-2, 50.0), plan)
-    lcm_plan = _plan((1e-2, 30.0), plan)
-    thr15 = lambda: critical.threshold_g2_increasing(1.5)
-
-    def lemma_ranges() -> list[ClaimReport]:
-        out = []
-        for a, lower, upper in ((0.75, -math.inf, 1.0), (3.0, -math.inf, 1.0),
-                                (1.0, 0.0, 1.0), (2.0, 0.0, 1.0)):
-            out.append(certify_range(lambda x, a=a: fam.h2(a, x), pos, lower, upper,
-                                     claim_id=f"lemma.h2.range.a={a:g}", params=fam.Params(a=a)))
-        out.append(certify_range(lambda x: fam.h3(2.0, x), pos, 0.0, 1.0,
-                                 claim_id="lemma.h3.range.a=2", params=fam.Params(a=2.0)))
-        out.append(certify_range(lambda x: fam.h4(2.0, x), pos, _PSI1_2, 1.0,
-                                 claim_id="lemma.h4.range.a=2", params=fam.Params(a=2.0)))
-        return out
-
-    return {
-        "constants": lambda: [certify_constants(plan)],
-        "thm1.1.mono": lambda: [_claim_thm1_mono(a, pos) for a in (-1.0, 0.5, 1.5, 3.0)],
-        "thm1.2.lcm": lambda: [
-            _with_id(certify_lcm(a, 6, lcm_plan), f"thm1.2.lcm.a={a:g}")
-            for a in (1.0, 1.5, 2.0)
-        ] + [
-            _with_id(certify_lcm(1.0, 6, _plan((-0.99, 30.0), plan)), "thm1.2.lcm.full.a=1"),
-            _with_id(certify_lcm(2.0, 6, _plan((-1.99, 30.0), plan)), "thm1.2.lcm.full.a=2"),
-        ],
-        "thm1.2.lcm.onlyif": lambda: [
-            expect_violation(certify_lcm(a, 6, lcm_plan), f"thm1.2.lcm.onlyif.a={a:g}")
-            for a in (0.5, 2.5)
-        ],
-        "thm2.1.mono": lambda: [
-            _with_id(
-                certify_monotone(lambda x, a=a, c=c: fam.log_g2(a, c, x), pos, d,
-                                 params=fam.Params(a=a, c=c)),
-                f"thm2.1.{d[:3]}.a={a:g}.c={c:g}",
-            )
-            for a, c, d in (
-                (0.75, 1.0, "decreasing"), (3.0, 1.0, "decreasing"), (2.0, 1.0, "decreasing"),
-                (1.0, 0.0, "increasing"), (2.0, 0.0, "increasing"), (1.5, 0.0, "increasing"),
-            )
-        ],
-        "thm2.1.onlyif": lambda: [
-            # h2(2, x) only crosses 0.9 near x ~ 100, so the sweep must reach
-            # well past the default interval to find its witness
-            expect_violation(
-                certify_monotone(lambda x: fam.log_g2(2.0, 0.9, x), _plan((1e-2, 1e3), plan),
-                                 "decreasing", params=fam.Params(a=2.0, c=0.9)),
-                "thm2.1.onlyif.a=2.c=0.9",
-            )
-        ],
-        "thm2.2.logconvex": lambda: [
-            _with_id(certify_logconvex(3.0, 1.0, pos, "convex"), "thm2.2.convex.a=3.c=1"),
-            _with_id(certify_logconvex(2.0, 1.0, pos, "convex"), "thm2.2.convex.a=2.c=1"),
-            _with_id(certify_logconvex(2.0, 0.0, pos, "concave"), "thm2.2.concave.a=2.c=0"),
-        ],
-        "thm2.2.onlyif": lambda: [
-            expect_violation(certify_logconvex(2.0, 0.5, pos, "convex"),
-                             "thm2.2.onlyif.a=2.c=0.5")
-        ],
-        "thm2.3.geoconvex": lambda: [
-            _with_id(certify_geoconvex("g2", 0.75, -3.0, pos, "convex"),
-                     "thm2.3.geoconvex.a=0.75.c=-3"),
-            _with_id(certify_geoconvex("g2", 3.0, 1.0, pos, "convex"),
-                     "thm2.3.geoconvex.a=3.c=1"),
-            _with_id(certify_geoconvex_piecewise("g2", 1.5, 0.0, pos),
-                     "thm2.3.piecewise.a=1.5.c=0"),
-        ],
-        "thm3.1.mono": lambda: [
-            _with_id(
-                certify_monotone(lambda x: fam.log_g3(3.0, 1.0, x), pos, "decreasing",
-                                 params=fam.Params(a=3.0, c=1.0)),
-                "thm3.1.dec.a=3.c=1",
-            ),
-            _with_id(
-                certify_monotone(lambda x: fam.log_g3(2.0, _PSI1_2, x), pos, "increasing",
-                                 params=fam.Params(a=2.0, c=_PSI1_2)),
-                "thm3.1.inc.a=2.c=thr",
-            ),
-            _with_id(
-                certify_monotone(
-                    lambda x: fam.log_g3(1.5, critical.threshold_g3_increasing(1.5) - 0.01, x),
-                    pos, "increasing", params=fam.Params(a=1.5, c=0.0)),
-                "thm3.1.inc.a=1.5.c=thr-0.01",
-            ),
-        ],
-        "thm3.2.geoconvex": lambda: [
-            _with_id(certify_geoconvex("g3", 0.75, -1.0, pos, "convex"),
-                     "thm3.2.geoconvex.a=0.75.c=-1"),
-            _with_id(certify_geoconvex("g3", 3.0, -1.0, pos, "convex"),
-                     "thm3.2.geoconvex.a=3.c=-1"),
-        ],
-        "ineq1": lambda: [
-            _with_id(certify_inequality("ineq1", fam.Params(a=1.5), pos), "ineq1.a=1.5")
-        ],
-        "ineq2": lambda: [
-            _with_id(certify_inequality("ineq2", fam.Params(a=1.0), pos), "ineq2.a=1")
-        ],
-        "ineq3": lambda: [
-            _with_id(certify_inequality("ineq3", fam.Params(a=a), pos), f"ineq3.a={a:g}")
-            for a in (0.75, 3.0)
-        ],
-        "ineq4": lambda: [
-            _with_id(certify_inequality("ineq4", fam.Params(a=0.75, c=1.5), pos),
-                     "ineq4.a=0.75.c=1.5"),
-            _with_id(certify_inequality("ineq4", fam.Params(a=2.0, c=-1.0), pos),
-                     "ineq4.rev.a=2.c=-1"),
-        ],
-        "ineq5": lambda: [
-            _with_id(certify_inequality("ineq5", fam.Params(a=2.0, c=1.0), pos),
-                     "ineq5.a=2.c=1"),
-            _with_id(certify_inequality("ineq5", fam.Params(a=2.0, c=-1.0), pos),
-                     "ineq5.rev.a=2.c=-1"),
-        ],
-        "ineq6": lambda: [
-            _with_id(certify_inequality("ineq6", fam.Params(a=3.0, c=2.0), pos),
-                     "ineq6.a=3.c=2"),
-            _with_id(certify_inequality("ineq6", fam.Params(a=2.0, c=0.0), pos),
-                     "ineq6.rev.a=2.c=0"),
-        ],
-        "ineq7": lambda: [
-            _with_id(certify_inequality("ineq7", fam.Params(a=a, c=-1.0), pos),
-                     f"ineq7.a={a:g}.c=-1")
-            for a in (0.75, 3.0)
-        ],
-        "cmp": lambda: certify_comparisons(pos),
-        "lemma.ranges": lemma_ranges,
-    }
+@functools.cache
+def _g3_below_threshold() -> float:
+    """c = 0.01 below the g3 increasing threshold at a = 1.5, solved once."""
+    return critical.threshold_g3_increasing(1.5) - 0.01
 
 
-def claim_ids(plan: SamplePlan = DEFAULT_PLAN) -> list[str]:
+def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
+    """The catalog: (base id, claim-id template, check, default params) rows.
+
+    A row runs as check(plan=..., claim_id=template.format(**params),
+    **params), with the plan's interval set to params["interval"] (default
+    (1e-2, 50)), which is not passed on.  The rows are built per run, so each
+    check is the function the module holds at that time.
+    """
+    def onlyif(check):
+        return lambda plan, claim_id, **p: expect_violation(check(plan=plan, **p), claim_id)
+
+    def mono(log_g):
+        return lambda plan, claim_id="monotone", *, a, c, direction: certify_monotone(
+            lambda x: log_g(a, c, x), plan, direction, claim_id=claim_id, params=fam.Params(a, c))
+
+    def ineq(id_):
+        return lambda plan, claim_id, a, c=0.0: certify_inequality(
+            id_, fam.Params(a, c), plan, claim_id)
+
+    def h_range(h):
+        return lambda plan, claim_id, a, lower, upper: certify_range(
+            lambda x: h(a, x), plan, lower, upper, claim_id, fam.Params(a=a))
+
+    lcm, g2, g3 = dict(max_order=6, interval=(1e-2, 30.0)), mono(fam.log_g2), mono(fam.log_g3)
+    inc, dec = "increasing", "decreasing"
+    return [
+        ("constants", "constants.c0-bracket", certify_constants, {}),
+        *[("thm1.1.mono", "thm1.1.mono.a={a:g}", _thm1_mono, dict(a=a))
+          for a in (-1.0, 0.5, 1.5, 3.0)],
+        *[("thm1.2.lcm", "thm1.2.lcm.a={a:g}", certify_lcm, dict(lcm, a=a))
+          for a in (1.0, 1.5, 2.0)],
+        *[("thm1.2.lcm", "thm1.2.lcm.full.a={a:g}", certify_lcm, dict(lcm, a=a, interval=iv))
+          for a, iv in ((1.0, (-0.99, 30.0)), (2.0, (-1.99, 30.0)))],
+        *[("thm1.2.lcm.onlyif", "thm1.2.lcm.onlyif.a={a:g}", onlyif(certify_lcm), dict(lcm, a=a))
+          for a in (0.5, 2.5)],
+        *[("thm2.1.mono", "thm2.1.{direction:.3}.a={a:g}.c={c:g}", g2, dict(a=a, c=c, direction=d))
+          for a, c, d in ((0.75, 1.0, dec), (3.0, 1.0, dec), (2.0, 1.0, dec),
+                          (1.0, 0.0, inc), (2.0, 0.0, inc), (1.5, 0.0, inc))],
+        # h2(2, x) only crosses 0.9 near x ~ 100, so the sweep must reach
+        # well past the default interval to find its witness
+        ("thm2.1.onlyif", "thm2.1.onlyif.a={a:g}.c={c:g}", onlyif(g2),
+         dict(a=2.0, c=0.9, direction=dec, interval=(1e-2, 1e3))),
+        *[("thm2.2.logconvex", "thm2.2.{sense}.a={a:g}.c={c:g}", certify_logconvex,
+           dict(a=a, c=c, sense=s))
+          for a, c, s in ((3.0, 1.0, "convex"), (2.0, 1.0, "convex"), (2.0, 0.0, "concave"))],
+        ("thm2.2.onlyif", "thm2.2.onlyif.a={a:g}.c={c:g}", onlyif(certify_logconvex),
+         dict(a=2.0, c=0.5, sense="convex")),
+        *[("thm2.3.geoconvex", "thm2.3.geoconvex.a={a:g}.c={c:g}", certify_geoconvex,
+           dict(family="g2", a=a, c=c, sense="convex")) for a, c in ((0.75, -3.0), (3.0, 1.0))],
+        ("thm2.3.geoconvex", "thm2.3.piecewise.a={a:g}.c={c:g}", certify_geoconvex_piecewise,
+         dict(family="g2", a=1.5, c=0.0)),
+        ("thm3.1.mono", "thm3.1.dec.a={a:g}.c={c:g}", g3, dict(a=3.0, c=1.0, direction=dec)),
+        ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr", g3, dict(a=2.0, c=_PSI1_2, direction=inc)),
+        ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr-0.01", g3,
+         dict(a=1.5, c=_g3_below_threshold(), direction=inc)),
+        *[("thm3.2.geoconvex", "thm3.2.geoconvex.a={a:g}.c={c:g}", certify_geoconvex,
+           dict(family="g3", a=a, c=-1.0, sense="convex")) for a in (0.75, 3.0)],
+        *[(template.split(".")[0], template, ineq(template.split(".")[0]), params)
+          for template, params in (
+              ("ineq1.a={a:g}", dict(a=1.5)), ("ineq2.a={a:g}", dict(a=1.0)),
+              ("ineq3.a={a:g}", dict(a=0.75)), ("ineq3.a={a:g}", dict(a=3.0)),
+              ("ineq4.a={a:g}.c={c:g}", dict(a=0.75, c=1.5)),
+              ("ineq4.rev.a={a:g}.c={c:g}", dict(a=2.0, c=-1.0)),
+              ("ineq5.a={a:g}.c={c:g}", dict(a=2.0, c=1.0)),
+              ("ineq5.rev.a={a:g}.c={c:g}", dict(a=2.0, c=-1.0)),
+              ("ineq6.a={a:g}.c={c:g}", dict(a=3.0, c=2.0)),
+              ("ineq6.rev.a={a:g}.c={c:g}", dict(a=2.0, c=0.0)),
+              ("ineq7.a={a:g}.c={c:g}", dict(a=0.75, c=-1.0)),
+              ("ineq7.a={a:g}.c={c:g}", dict(a=3.0, c=-1.0)))],
+        *[("cmp", cid, _comparison, {}) for cid in _COMPARISONS],
+        *[("lemma.ranges", f"lemma.{name}.range.a={{a:g}}", h_range(h),
+           dict(a=a, lower=lower, upper=1.0))
+          for name, h, a, lower in (("h2", fam.h2, 0.75, -math.inf), ("h2", fam.h2, 3.0, -math.inf),
+                                    ("h2", fam.h2, 1.0, 0.0), ("h2", fam.h2, 2.0, 0.0),
+                                    ("h3", fam.h3, 2.0, 0.0), ("h4", fam.h4, 2.0, _PSI1_2))],
+    ]
+
+
+def claim_ids() -> list[str]:
     """Base identifiers accepted by run_claims."""
-    return sorted(_builders(plan))
+    return sorted({row[0] for row in _claims()})
 
 
-def run_claims(
-    which: str = "all",
-    plan: SamplePlan = DEFAULT_PLAN,
-    a: float | None = None,
-    c: float | None = None,
-) -> list[ClaimReport]:
+def run_claims(which: str = "all", plan: SamplePlan = DEFAULT_PLAN, a: float | None = None,
+               c: float | None = None) -> list[ClaimReport]:
     """Run the claim catalog; reports are sorted by claim_id.
 
-    `which` is a base identifier (see :func:`claim_ids`) or "all".  For the
-    parameterized families (lcm, inequalities) an explicit `a`/`c` overrides
-    the default instances.
+    `which` is a base identifier (see :func:`claim_ids`) or "all".  An `a`
+    and/or `c` override runs only the first row of that base id, at the
+    given parameters; an override that row does not take, or any override
+    with "all", raises ValueError.
     """
-    builders = _builders(plan)
-    if which == "all":
-        reports = [r for key in sorted(builders) for r in builders[key]()]
-        return sorted(reports, key=lambda r: r.claim_id)
-    if which not in builders:
-        raise KeyError(f"unknown claim {which!r}; known: {', '.join(sorted(builders))}")
-    if a is not None and which == "thm1.2.lcm":
-        return [_with_id(certify_lcm(a, 6, _plan((1e-2, 30.0), plan)),
-                         f"thm1.2.lcm.a={a:g}")]
-    if a is not None and which.startswith("ineq"):
-        params = fam.Params(a=a, c=0.0 if c is None else c)
-        return [_with_id(certify_inequality(which, params, _plan((1e-2, 50.0), plan)),
-                         f"{which}.a={a:g}.c={params.c:g}")]
-    return sorted(builders[which](), key=lambda r: r.claim_id)
+    rows = [row for row in _claims() if which in ("all", row[0])]
+    if not rows:
+        raise KeyError(f"unknown claim {which!r}; known: {', '.join(claim_ids())}")
+    overrides = {k: v for k, v in (("a", a), ("c", c)) if v is not None}
+    if overrides:
+        refused = sorted(set(overrides) - set(rows[0][3]) if which != "all" else overrides)
+        if refused:
+            raise ValueError(f"claim {which!r} takes no {'/'.join(refused)} override")
+        rows = rows[:1]
+    reports = []
+    for _, template, check, defaults in rows:
+        params = {**defaults, **overrides}
+        row_plan = replace(plan, interval=params.pop("interval", (1e-2, 50.0)))
+        reports.append(check(plan=row_plan, claim_id=template.format(**params), **params))
+    return sorted(reports, key=lambda r: r.claim_id)

@@ -19,7 +19,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Callable
+
+import numpy as np
 
 from .specfun import (
     DomainError,
@@ -32,7 +35,7 @@ from .specfun import (
 )
 from . import families as fam
 from . import critical
-from .certify import SamplePlan, Verdict, claim_ids, run_claims
+from .certify import C0_BRACKET, SamplePlan, Verdict, claim_ids, run_claims
 
 __all__ = ["main", "build_parser", "FN_CATALOG"]
 
@@ -45,7 +48,7 @@ def _fmt(v: float) -> str:
 FN_CATALOG: dict[str, tuple[Callable, bool, bool]] = {
     "gamma_log": (lambda ns, x: log_gamma(x), False, False),
     "psi": (lambda ns, x: digamma(x), False, False),
-    "polygamma": (lambda ns, x: polygamma(_need_n(ns), x), False, False),
+    "polygamma": (lambda ns, x: polygamma(ns.n, x), False, False),
     "f": (lambda ns, x: fam.f_family(_params(ns), x), True, True),
     "g": (lambda ns, x: fam.g_family(_params(ns), x), True, True),
     "g1": (lambda ns, x: fam.g1(ns.a, x), True, False),
@@ -58,16 +61,26 @@ FN_CATALOG: dict[str, tuple[Callable, bool, bool]] = {
     "h21": (lambda ns, x: fam.h21(ns.a, x), True, False),
     "h31": (lambda ns, x: fam.h31(ns.a, x), True, False),
     "h41": (lambda ns, x: fam.h41(ns.a, x), True, False),
-    "delta_n": (lambda ns, x: fam.delta_n(ns.a, _need_n(ns), x), True, False),
-    "log_g1_deriv": (lambda ns, x: fam.log_g1_deriv(ns.a, _need_n(ns), x), True, False),
+    "delta_n": (lambda ns, x: fam.delta_n(ns.a, ns.n, x), True, False),
+    "log_g1_deriv": (lambda ns, x: fam.log_g1_deriv(ns.a, ns.n, x), True, False),
     "xlogderiv_g3": (lambda ns, x: fam.x_logderiv_g3(ns.a, ns.c, x), True, True),
 }
 
 
-def _need_n(ns) -> int:
-    if ns.n is None:
-        raise DomainError(f"--fn {ns.fn} requires --n (derivative/series order)")
-    return ns.n
+# catalog functions that take a derivative/series order --n
+_TAKES_N = {"polygamma", "delta_n", "log_g1_deriv"}
+
+
+def _usage_error(ns, *counts: str) -> bool:
+    """Print why an eval/sweep request cannot run (a missing --n, a count below 1)."""
+    if ns.fn in _TAKES_N and ns.n is None:
+        print(f"error: --fn {ns.fn} requires --n (derivative/series order)", file=sys.stderr)
+        return True
+    for name in counts:
+        if getattr(ns, name) < 1:
+            print(f"error: --{name.replace('_', '-')} must be at least 1", file=sys.stderr)
+            return True
+    return False
 
 
 def _params(ns) -> fam.Params:
@@ -130,15 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n == 1:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
-
-
 def _run_eval(ns, out) -> int:
     fn, _, _ = FN_CATALOG[ns.fn]
+    if _usage_error(ns, "points"):
+        return 2
     if ns.x is not None:
         try:
             out.write(_fmt(fn(ns, ns.x)) + "\n")
@@ -150,7 +158,7 @@ def _run_eval(ns, out) -> int:
         print("eval requires either --x or both --x-min and --x-max", file=sys.stderr)
         return 2
     out.write("x,value\n")
-    for x in _linspace(ns.x_min, ns.x_max, ns.points):
+    for x in np.linspace(ns.x_min, ns.x_max, ns.points).tolist():
         try:
             out.write(f"{_fmt(x)},{_fmt(fn(ns, x))}\n")
         except (DomainError, OverflowError) as exc:
@@ -196,22 +204,11 @@ def _run_solve(ns, out) -> int:
 
 
 def _run_verify(ns, out) -> int:
-    plan = SamplePlan()
-    overrides = {}
-    if ns.seed is not None:
-        overrides["seed"] = ns.seed
-    if ns.tol is not None:
-        overrides["tol"] = ns.tol
-    if ns.points is not None:
-        overrides["grid_points"] = ns.points
-    if overrides:
-        d = plan.to_dict()
-        d["interval"] = tuple(d["interval"])
-        d.update(overrides)
-        plan = SamplePlan(**d)
+    overrides = {"seed": ns.seed, "tol": ns.tol, "grid_points": ns.points}
     try:
+        plan = replace(SamplePlan(), **{k: v for k, v in overrides.items() if v is not None})
         reports = run_claims(ns.claim, plan=plan, a=ns.a, c=ns.c)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ArithmeticError, critical.BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     dicts = [r.to_dict() for r in reports]
@@ -233,12 +230,15 @@ def _run_verify(ns, out) -> int:
 
 def _run_sweep(ns) -> int:
     fn, _, _ = FN_CATALOG[ns.fn]
+    if _usage_error(ns, "points", "a_points"):
+        return 2
+    xs = np.linspace(ns.x_min, ns.x_max, ns.points).tolist()
     try:
         with open(ns.out, "w") as fh:
             fh.write("a,x,value\n")
-            for a in _linspace(ns.a_min, ns.a_max, ns.a_points):
+            for a in np.linspace(ns.a_min, ns.a_max, ns.a_points).tolist():
                 ns.a = a
-                for x in _linspace(ns.x_min, ns.x_max, ns.points):
+                for x in xs:
                     try:
                         v = fn(ns, x)
                     except (DomainError, OverflowError):
@@ -253,8 +253,7 @@ def _run_sweep(ns) -> int:
 
 
 def _run_constants(out) -> int:
-    lower = 75.0 * (28.0 * ZETA3 + PI**3) / 64.0 - 75.0
-    upper = 18.0 * (3.0 - EULER_GAMMA - math.log(PI) - PI**2 / 8.0)
+    lower, upper = C0_BRACKET
     out.write(f"euler_gamma,{_fmt(EULER_GAMMA)}\n")
     out.write(f"pi,{_fmt(PI)}\n")
     out.write(f"zeta3,{_fmt(ZETA3)}\n")

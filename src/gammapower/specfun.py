@@ -6,19 +6,16 @@ functions fall back on their defining series with an Euler-Maclaurin tail
 correction, which avoids stacking a dozen recurrence steps on top of a
 dominant 1/x^{n+1} term.
 
-Everything here is a pure function of its inputs plus an immutable
-EvalConfig, so concurrent use is safe.
+Everything here is a pure function of its inputs, so concurrent use is
+safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
-    "EvalConfig",
-    "DEFAULT_CONFIG",
     "EULER_GAMMA",
     "PI",
     "ZETA3",
@@ -41,30 +38,13 @@ PI = math.pi
 ZETA3 = 1.2020569031595942854
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Tuning knobs for the evaluation strategy.
+# Argument size above which the asymptotic expansions are trusted; below it
+# the recurrence shifts the argument up.
+_SHIFT_THRESHOLD = 12.0
 
-    shift_threshold: argument size above which the asymptotic expansion is
-        trusted; below it the recurrence shifts the argument up.
-    series_tol: truncation tolerance for the direct-series fallback.
-    max_terms: cap on the number of direct-series terms.
-    """
-
-    shift_threshold: float = 12.0
-    series_tol: float = 1e-15
-    max_terms: int = 400
-
-    def __post_init__(self):
-        if self.shift_threshold < 8.0:
-            raise ValueError("shift_threshold must be >= 8")
-        if self.series_tol <= 0.0:
-            raise ValueError("series_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_CONFIG = EvalConfig()
+# Truncation tolerance and term cap of the direct-series fallback.
+_SERIES_TOL = 1e-15
+_MAX_TERMS = 400
 
 # Small-argument cutoff below which polygamma uses the direct series.
 _SERIES_CUTOFF = 0.05
@@ -110,11 +90,11 @@ def _log_gamma_asymptotic(x: float) -> float:
     return s
 
 
-def log_gamma(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     _require_positive(x)
     shift = 0.0
-    while x < config.shift_threshold:
+    while x < _SHIFT_THRESHOLD:
         shift += math.log(x)
         x += 1.0
     return _log_gamma_asymptotic(x) - shift
@@ -130,11 +110,11 @@ def _digamma_asymptotic(x: float) -> float:
     return s
 
 
-def digamma(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def digamma(x: float) -> float:
     """psi(x) for x > 0."""
     _require_positive(x)
     shift = 0.0
-    while x < config.shift_threshold:
+    while x < _SHIFT_THRESHOLD:
         shift += 1.0 / x
         x += 1.0
     return _digamma_asymptotic(x) - shift
@@ -152,15 +132,15 @@ def _polygamma_asymptotic(n: int, x: float) -> float:
     return s if n % 2 == 1 else -s
 
 
-def _polygamma_series(n: int, x: float, config: EvalConfig) -> float:
+def _polygamma_series(n: int, x: float) -> float:
     # Direct series sum_{k>=0} (x+k)^{-(n+1)} with an Euler-Maclaurin tail.
     s = 0.0
     k = 0
-    while k < config.max_terms:
+    while k < _MAX_TERMS:
         term = (x + k) ** -(n + 1)
         s += term
         k += 1
-        if term < config.series_tol * s and k > 8:
+        if term < _SERIES_TOL * s and k > 8:
             break
     edge = x + k
     # integral tail + half-term + first Euler-Maclaurin correction
@@ -169,7 +149,7 @@ def _polygamma_series(n: int, x: float, config: EvalConfig) -> float:
     return s if n % 2 == 1 else -s
 
 
-def polygamma(n: int, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def polygamma(n: int, x: float) -> float:
     """psi^(n)(x) for n >= 1, x > 0.  Sign is (-1)^(n+1)."""
     if n < 1:
         raise DomainError(f"polygamma order must be >= 1, got {n}")
@@ -178,9 +158,9 @@ def polygamma(n: int, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     # the truncated Bernoulli expansion; below the cutoff it avoids stacking
     # recurrence steps onto a dominant 1/x^{n+1} term.
     if x < _SERIES_CUTOFF or n >= 8:
-        return _polygamma_series(n, x, config)
+        return _polygamma_series(n, x)
     shift = 0.0
-    while x < config.shift_threshold:
+    while x < _SHIFT_THRESHOLD:
         shift += x ** -(n + 1)
         x += 1.0
     # psi^(n)(x) = psi^(n)(x+m) - (-1)^n n! sum_k (x+k)^{-(n+1)}
@@ -190,26 +170,26 @@ def polygamma(n: int, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     return _polygamma_asymptotic(n, x) - shift
 
 
-def check_polygamma_bounds(n: int, x: float, config: EvalConfig = DEFAULT_CONFIG) -> bool:
+def check_polygamma_bounds(n: int, x: float) -> bool:
     """Sandwich bounds on |psi^(n)(x)|.
 
     (n-1)!/x^n + n!/(2x^{n+1}) <= (-1)^{n+1} psi^(n)(x)
                                <= (n-1)!/x^n + n!/x^{n+1}
     """
-    value = polygamma(n, x, config)
+    value = polygamma(n, x)
     if n % 2 == 0:
         value = -value
     base = math.factorial(n - 1) / x**n
     step = math.factorial(n) / x ** (n + 1)
-    tol = config.series_tol * max(1.0, abs(value))
+    tol = _SERIES_TOL * max(1.0, abs(value))
     return base + 0.5 * step <= value + tol and value <= base + step + tol
 
 
-def psi2_theta(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def psi2_theta(x: float) -> float:
     """Solve psi''(x) = -1/x^2 - 1/x^3 - 1/(2x^4) + theta/(6x^6) for theta.
 
     The returned theta lies in (0, 1) for every x > 0.
     """
     _require_positive(x)
-    psi2 = polygamma(2, x, config)
+    psi2 = polygamma(2, x)
     return 6.0 * x**6 * (psi2 + 1.0 / x**2 + 1.0 / x**3 + 0.5 / x**4)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
+from gammapower import certify
 from gammapower import families as fam
+from gammapower.critical import threshold_g3_increasing
 from gammapower.certify import (
     Region,
     RegionError,
@@ -23,6 +27,7 @@ from gammapower.certify import (
     classify,
     expect_violation,
     run_claims,
+    segments,
 )
 
 SMALL = SamplePlan(grid_points=64, random_points=32)
@@ -55,7 +60,7 @@ class TestSamplePlan:
         pairs = SMALL.pairs()
         n_axis = math.isqrt(SMALL.grid_points - 1) + 1
         assert len(pairs) == n_axis * n_axis + SMALL.random_points
-        assert pairs == SMALL.pairs()
+        assert np.array_equal(pairs, SMALL.pairs())
 
     def test_bad_plan_rejected(self):
         with pytest.raises(ValueError):
@@ -86,6 +91,25 @@ class TestMonotone:
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
             certify_monotone(math.log, SMALL, "sideways")
+
+    def test_no_margin_is_not_certified(self):
+        # one sample point leaves no consecutive pair to compare
+        r = certify_monotone(lambda x: -x, SamplePlan((1, 2), grid_points=1, random_points=0),
+                             "increasing")
+        assert r.verdict is Verdict.INCONCLUSIVE
+        assert r.strict is None
+
+    def test_nan_margin_is_not_certified(self):
+        r = certify_range(lambda x: math.nan, SamplePlan(grid_points=64, random_points=0),
+                          0.0, 1.0)
+        assert r.verdict is Verdict.INCONCLUSIVE
+        assert "non-finite" in r.note
+
+    def test_segments_all_skipped_not_certified(self):
+        pieces = [((1.0, 1.001), "increasing"), ((2.0, 2.002), "decreasing")]
+        r = segments("seg", fam.Params(a=1.0), SMALL, math.log, pieces)
+        assert r.verdict is Verdict.INCONCLUSIVE
+        assert r.note == "no margin was checked"
 
 
 class TestTheoremClaims:
@@ -190,6 +214,15 @@ class TestReportsAndCatalog:
         for r in certify_comparisons(SMALL):
             assert r.verdict is Verdict.CERTIFIED, r.claim_id
 
+    def test_comparisons_evaluation_error_inconclusive(self, monkeypatch):
+        def bad(x):
+            raise ValueError("nope")
+
+        monkeypatch.setattr(certify, "log_gamma", bad)
+        for r in certify_comparisons(SMALL):
+            assert r.verdict is Verdict.INCONCLUSIVE, r.claim_id
+            assert "nope" in r.note
+
     def test_claim_ids_sorted(self):
         ids = claim_ids()
         assert ids == sorted(ids)
@@ -209,3 +242,27 @@ class TestReportsAndCatalog:
         reports = run_claims("thm1.2.lcm", SMALL, a=2.5)
         assert len(reports) == 1
         assert reports[0].verdict is Verdict.VIOLATED
+
+    def test_override_honoured_by_every_parameterized_claim(self):
+        (r,) = run_claims("thm2.2.logconvex", SMALL, a=7.0, c=3.0)
+        assert r.claim_id == "thm2.2.convex.a=7.c=3"
+        assert (r.params.a, r.params.c) == (7.0, 3.0)
+
+    def test_override_not_taken_is_refused(self):
+        with pytest.raises(ValueError):
+            run_claims("thm1.2.lcm", SMALL, c=1.0)
+        with pytest.raises(ValueError):
+            run_claims("constants", SMALL, a=1.0)
+
+    def test_threshold_row_reports_its_c(self):
+        reports = run_claims("thm3.1.mono", SMALL)
+        (r,) = [r for r in reports if r.claim_id == "thm3.1.inc.a=1.5.c=thr-0.01"]
+        assert r.params.c == threshold_g3_increasing(1.5) - 0.01
+
+
+def test_catalog_matches_expected_verdicts():
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "expected_verdicts.json"
+    expected = {cid: row["verdict"] for cid, row in json.loads(path.read_text()).items()}
+    got = {r.claim_id: r.verdict.value for r in run_claims("all")}
+    assert len(got) == 52
+    assert got == expected

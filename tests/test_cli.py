@@ -56,6 +56,13 @@ class TestEval:
         assert code == 2
         assert "--n" in err
 
+    def test_negative_points_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--fn", "psi", "--x-min", "1", "--x-max", "2",
+                             "--points", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--points" in err
+
 
 class TestSolve:
     def test_x3_json(self, capsys):
@@ -108,6 +115,16 @@ class TestVerify:
         assert inline == on_disk
         assert inline[0]["verdict"] == "certified"
 
+    def test_bad_tol_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--claim", "constants", "--tol", "-1")
+        assert code == 2
+        assert "tol" in err
+
+    def test_override_not_taken_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--claim", "thm1.2.lcm", "--a", "2.5", "--c", "1")
+        assert code == 2
+        assert "override" in err
+
     def test_seed_override_deterministic(self, capsys):
         args = ["verify", "--claim", "ineq1", "--a", "1.5", "--seed", "7",
                 "--points", "64", "--format", "json"]
@@ -136,6 +153,22 @@ class TestSweepAndConstants:
         assert code == 0
         lines = dest.read_text().strip().splitlines()
         assert len(lines) == 2  # header + x=1 row only
+
+    def test_sweep_needs_n(self, capsys, tmp_path):
+        dest = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--fn", "delta_n", "--a-min", "1", "--a-max", "2",
+                           "--x-min", "0.5", "--x-max", "5", "--out", str(dest))
+        assert code == 2
+        assert "--n" in err
+        assert not dest.exists()
+
+    def test_sweep_negative_points_exit_2(self, capsys, tmp_path):
+        dest = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--fn", "h2", "--a-min", "1", "--a-max", "2",
+                           "--x-min", "0.5", "--x-max", "5", "--points", "-3", "--out", str(dest))
+        assert code == 2
+        assert "--points" in err
+        assert not dest.exists()
 
     def test_constants_output(self, capsys):
         code, out, _ = run(capsys, "constants")

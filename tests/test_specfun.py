@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gammapower.specfun import (
     DomainError,
     EULER_GAMMA,
-    EvalConfig,
     check_polygamma_bounds,
     digamma,
     log_gamma,
@@ -138,19 +137,6 @@ class TestDomainAndConfig:
     def test_polygamma_argument_rejected(self):
         with pytest.raises(DomainError):
             polygamma(1, -2.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EvalConfig(shift_threshold=4.0)
-        with pytest.raises(ValueError):
-            EvalConfig(series_tol=0.0)
-
-    def test_higher_threshold_agrees(self):
-        cfg = EvalConfig(shift_threshold=20.0)
-        for x in (0.3, 1.01, 7.7):
-            assert log_gamma(x, cfg) == pytest.approx(log_gamma(x), rel=1e-13, abs=1e-13)
-            assert digamma(x, cfg) == pytest.approx(digamma(x), rel=1e-13)
-            assert polygamma(2, x, cfg) == pytest.approx(polygamma(2, x), rel=1e-12)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
