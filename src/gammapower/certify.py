@@ -172,6 +172,10 @@ class Witness:
         return {"where": list(self.where), "observed": self.observed, "required": self.required}
 
 
+# Witnesses kept per report, the first in sample order; n_witnesses counts all.
+_MAX_WITNESSES = 20
+
+
 @dataclass
 class ClaimReport:
     claim_id: str
@@ -182,6 +186,7 @@ class ClaimReport:
     min_margin: float = math.inf
     strict: bool | None = None
     note: str = ""
+    n_witnesses: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -190,6 +195,7 @@ class ClaimReport:
             "plan": self.plan.to_dict(),
             "verdict": self.verdict.value,
             "witnesses": [w.to_dict() for w in self.witnesses],
+            "n_witnesses": self.n_witnesses,
             "min_margin": None if math.isinf(self.min_margin) else self.min_margin,
             "strict": self.strict,
             "note": self.note,
@@ -208,9 +214,10 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
            blocks: Callable[[], list[Block]], note: str = "") -> ClaimReport:
     """The certification core: evaluate `blocks()` and fold it into a report.
 
-    A margin below -tol is a violation witness, listed block by block in
-    row-major order.  An evaluation error, a run that checks no margin, or
-    a non-finite margin makes the report inconclusive.
+    A margin below -tol is a violation witness; all are counted, and the
+    first _MAX_WITNESSES, block by block in row-major order, are listed.  An
+    evaluation error, a run that checks no margin, or a non-finite margin
+    makes the report inconclusive.
     """
     report = ClaimReport(claim_id, params, plan, Verdict.INCONCLUSIVE, note=note)
     built = []
@@ -229,10 +236,13 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
         return report
     report.min_margin = float(flat.min())
     for where, m, required in built:
-        for i, j in zip(*np.nonzero(m < -plan.tol)):
+        rows, cols = np.nonzero(m < -plan.tol)
+        room = _MAX_WITNESSES - len(report.witnesses)
+        for i, j in zip(rows[:room], cols[:room]):
             label = required if isinstance(required, str) else required[j]
             report.witnesses.append(Witness(tuple(where[i].tolist()), float(m[i, j]), label))
-    report.verdict = Verdict.VIOLATED if report.witnesses else Verdict.CERTIFIED
+        report.n_witnesses += rows.size
+    report.verdict = Verdict.VIOLATED if report.n_witnesses else Verdict.CERTIFIED
     report.strict = report.verdict is Verdict.CERTIFIED and report.min_margin > 10.0 * plan.tol
     return report
 
@@ -515,7 +525,8 @@ def expect_violation(inner: ClaimReport, claim_id: str) -> ClaimReport:
     verdict = Verdict.CERTIFIED if inner.verdict is Verdict.VIOLATED else Verdict.INCONCLUSIVE
     return ClaimReport(claim_id, inner.params, inner.plan, verdict, inner.witnesses,
                        inner.min_margin, note=f"expects a violation of inner claim "
-                                              f"{inner.claim_id!r}")
+                                              f"{inner.claim_id!r}",
+                       n_witnesses=inner.n_witnesses)
 
 
 # --- claim catalog ----------------------------------------------------------
@@ -634,13 +645,15 @@ def run_claims(which: str = "all", plan: SamplePlan = DEFAULT_PLAN, a: float | N
 
     `which` is a base identifier (see :func:`claim_ids`) or "all".  An `a`
     and/or `c` override runs only the first row of that base id, at the
-    given parameters; an override that row does not take, or any override
-    with "all", raises ValueError.
+    given parameters; an override that row does not take, a non-finite
+    override, or any override with "all", raises ValueError.
     """
     rows = [row for row in _claims() if which in ("all", row[0])]
     if not rows:
         raise KeyError(f"unknown claim {which!r}; known: {', '.join(claim_ids())}")
     overrides = {k: v for k, v in (("a", a), ("c", c)) if v is not None}
+    if not all(map(math.isfinite, overrides.values())):
+        raise ValueError(f"claim parameters must be finite, got {overrides}")
     if overrides:
         refused = sorted(set(overrides) - set(rows[0][3]) if which != "all" else overrides)
         if refused:

@@ -44,26 +44,26 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-# name -> (callable(args, x), requires_a, requires_c)
-FN_CATALOG: dict[str, tuple[Callable, bool, bool]] = {
-    "gamma_log": (lambda ns, x: log_gamma(x), False, False),
-    "psi": (lambda ns, x: digamma(x), False, False),
-    "polygamma": (lambda ns, x: polygamma(ns.n, x), False, False),
-    "f": (lambda ns, x: fam.f_family(_params(ns), x), True, True),
-    "g": (lambda ns, x: fam.g_family(_params(ns), x), True, True),
-    "g1": (lambda ns, x: fam.g1(ns.a, x), True, False),
-    "g2": (lambda ns, x: fam.g2(ns.a, ns.c, x), True, True),
-    "g3": (lambda ns, x: fam.g3(ns.a, ns.c, x), True, True),
-    "h1": (lambda ns, x: fam.h1(ns.a, x), True, False),
-    "h2": (lambda ns, x: fam.h2(ns.a, x), True, False),
-    "h3": (lambda ns, x: fam.h3(ns.a, x), True, False),
-    "h4": (lambda ns, x: fam.h4(ns.a, x), True, False),
-    "h21": (lambda ns, x: fam.h21(ns.a, x), True, False),
-    "h31": (lambda ns, x: fam.h31(ns.a, x), True, False),
-    "h41": (lambda ns, x: fam.h41(ns.a, x), True, False),
-    "delta_n": (lambda ns, x: fam.delta_n(ns.a, ns.n, x), True, False),
-    "log_g1_deriv": (lambda ns, x: fam.log_g1_deriv(ns.a, ns.n, x), True, False),
-    "xlogderiv_g3": (lambda ns, x: fam.x_logderiv_g3(ns.a, ns.c, x), True, True),
+# name -> callable(args, x)
+FN_CATALOG: dict[str, Callable] = {
+    "gamma_log": lambda ns, x: log_gamma(x),
+    "psi": lambda ns, x: digamma(x),
+    "polygamma": lambda ns, x: polygamma(ns.n, x),
+    "f": lambda ns, x: fam.f_family(_params(ns), x),
+    "g": lambda ns, x: fam.g_family(_params(ns), x),
+    "g1": lambda ns, x: fam.g1(ns.a, x),
+    "g2": lambda ns, x: fam.g2(ns.a, ns.c, x),
+    "g3": lambda ns, x: fam.g3(ns.a, ns.c, x),
+    "h1": lambda ns, x: fam.h1(ns.a, x),
+    "h2": lambda ns, x: fam.h2(ns.a, x),
+    "h3": lambda ns, x: fam.h3(ns.a, x),
+    "h4": lambda ns, x: fam.h4(ns.a, x),
+    "h21": lambda ns, x: fam.h21(ns.a, x),
+    "h31": lambda ns, x: fam.h31(ns.a, x),
+    "h41": lambda ns, x: fam.h41(ns.a, x),
+    "delta_n": lambda ns, x: fam.delta_n(ns.a, ns.n, x),
+    "log_g1_deriv": lambda ns, x: fam.log_g1_deriv(ns.a, ns.n, x),
+    "xlogderiv_g3": lambda ns, x: fam.x_logderiv_g3(ns.a, ns.c, x),
 }
 
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_eval(ns, out) -> int:
-    fn, _, _ = FN_CATALOG[ns.fn]
+    fn = FN_CATALOG[ns.fn]
     if _usage_error(ns, "points"):
         return 2
     if ns.x is not None:
@@ -229,7 +229,7 @@ def _run_verify(ns, out) -> int:
 
 
 def _run_sweep(ns) -> int:
-    fn, _, _ = FN_CATALOG[ns.fn]
+    fn = FN_CATALOG[ns.fn]
     if _usage_error(ns, "points", "a_points"):
         return 2
     xs = np.linspace(ns.x_min, ns.x_max, ns.points).tolist()

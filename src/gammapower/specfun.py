@@ -1,17 +1,24 @@
 """Log-gamma, digamma and polygamma evaluation in double precision.
 
-Strategy: recurrence-shift the argument up past a threshold, then apply the
-Stirling-type asymptotic expansion.  For very small arguments the polygamma
-functions fall back on their defining series with an Euler-Maclaurin tail
-correction, which avoids stacking a dozen recurrence steps on top of a
-dominant 1/x^{n+1} term.
+log Gamma is the standard library's `math.lgamma`.  psi and psi^(n) share
+one Euler-Maclaurin sum of the Hurwitz series
 
-Everything here is a pure function of its inputs, so concurrent use is
-safe.
+    zeta(s, x) = sum_{j>=0} (x+j)^(-s),    psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x).
+
+It adds terms directly until y = x + m reaches an edge that grows with s
+(or the terms fall below rounding), then adds the integral from y, half the
+term at y and the Bernoulli corrections at y.  psi is the same sum at s = 1,
+with log y in place of the divergent integral.
+
+Every public function returns a finite value or raises: DomainError for an
+argument outside (0, inf), nan and inf included, and OverflowError when the
+value exceeds the double range.  Everything here is a pure function of its
+inputs, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -31,122 +38,68 @@ class DomainError(ValueError):
     """Argument outside the real domain supported by this library."""
 
 
-# Euler-Mascheroni constant, pi, and zeta(3) (zeta(3) is only needed for the
-# c0 bracket constants).
+# Euler-Mascheroni constant, pi, and zeta(3) (only the c0 bracket needs zeta(3)).
 EULER_GAMMA = 0.5772156649015328606
 PI = math.pi
 ZETA3 = 1.2020569031595942854
 
-
-# Argument size above which the asymptotic expansions are trusted; below it
-# the recurrence shifts the argument up.
-_SHIFT_THRESHOLD = 12.0
-
-# Truncation tolerance and term cap of the direct-series fallback.
-_SERIES_TOL = 1e-15
-_MAX_TERMS = 400
-
-# Small-argument cutoff below which polygamma uses the direct series.
-_SERIES_CUTOFF = 0.05
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Stirling coefficients for log Gamma: sum c_k / x^{2k-1}.
-_LOG_GAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
+# Bernoulli numbers B_2, B_4, ..., B_20 for the Euler-Maclaurin corrections.
+_BERNOULLI = (
+    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+    -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0, -174611.0 / 330.0,
 )
 
-# psi(x) ~ log x - 1/(2x) - sum d_k / x^{2k}.
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
-
-# Bernoulli numbers B_2, B_4, ..., B_12 for the polygamma expansion.
-_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0)
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _require_positive(x: float) -> None:
-    if not x > 0.0:
-        raise DomainError(f"argument must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"argument must be positive and finite, got {x}")
 
 
-def _log_gamma_asymptotic(x: float) -> float:
-    s = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI
+@functools.lru_cache(maxsize=128)
+def _corrections(s: int) -> tuple[float, ...]:
+    """B_2k (s)_(2k-1) / (2k)! for each B_2k of the table, highest k first."""
+    out, c = [], 0.5 * s
+    for k, b in enumerate(_BERNOULLI, start=1):
+        out.append(b * c)
+        c *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2))
+    return tuple(reversed(out))
+
+
+def _euler_maclaurin(s: int, x: float) -> tuple[float, float]:
+    """sum_{j>=0} (x+j)^(-s) less its integral from y, and that y = x + m.
+
+    The terms below y are added directly; the rest is y^(-s)/2 plus
+    sum_k B_2k (s)_(2k-1)/(2k)! y^(-s-2k+1).  `x ** -s` raises OverflowError
+    when a term exceeds the double range.
+    """
+    edge = 6.0 + 0.8 * s  # from here on the ten corrections are exact to rounding
+    total = 0.0
+    while x < edge:
+        term = x**-s
+        total += term
+        x += 1.0
+        if term <= _UNIT_ROUNDOFF * total:
+            break
     inv2 = 1.0 / (x * x)
-    p = 1.0 / x
-    for c in _LOG_GAMMA_COEFFS:
-        s += c * p
-        p *= inv2
-    return s
+    corr = 0.0
+    for c in _corrections(s):
+        corr = corr * inv2 + c
+    return total + x**-s * (0.5 + corr / x), x
 
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     _require_positive(x)
-    shift = 0.0
-    while x < _SHIFT_THRESHOLD:
-        shift += math.log(x)
-        x += 1.0
-    return _log_gamma_asymptotic(x) - shift
-
-
-def _digamma_asymptotic(x: float) -> float:
-    s = math.log(x) - 0.5 / x
-    inv2 = 1.0 / (x * x)
-    p = inv2
-    for d in _DIGAMMA_COEFFS:
-        s -= d * p
-        p *= inv2
-    return s
+    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:
     """psi(x) for x > 0."""
     _require_positive(x)
-    shift = 0.0
-    while x < _SHIFT_THRESHOLD:
-        shift += 1.0 / x
-        x += 1.0
-    return _digamma_asymptotic(x) - shift
-
-
-def _polygamma_asymptotic(n: int, x: float) -> float:
-    # Term-wise differentiation of the psi expansion:
-    # |psi^(n)(x)| ~ (n-1)!/x^n + n!/(2 x^{n+1})
-    #               + sum_k B_{2k} (2k+n-1)!/(2k)! x^{-(2k+n)}
-    fac = math.factorial(n - 1)
-    s = fac / x**n + fac * n / (2.0 * x ** (n + 1))
-    for k, b in enumerate(_BERNOULLI, start=1):
-        coeff = b * math.factorial(2 * k + n - 1) / math.factorial(2 * k)
-        s += coeff / x ** (2 * k + n)
-    return s if n % 2 == 1 else -s
-
-
-def _polygamma_series(n: int, x: float) -> float:
-    # Direct series sum_{k>=0} (x+k)^{-(n+1)} with an Euler-Maclaurin tail.
-    s = 0.0
-    k = 0
-    while k < _MAX_TERMS:
-        term = (x + k) ** -(n + 1)
-        s += term
-        k += 1
-        if term < _SERIES_TOL * s and k > 8:
-            break
-    edge = x + k
-    # integral tail + half-term + first Euler-Maclaurin correction
-    s += edge**-n / n + 0.5 * edge ** -(n + 1) + (n + 1) / 12.0 * edge ** -(n + 2)
-    s *= math.factorial(n)
-    return s if n % 2 == 1 else -s
+    total, y = _euler_maclaurin(1, x)
+    return math.log(y) - total
 
 
 def polygamma(n: int, x: float) -> float:
@@ -154,20 +107,11 @@ def polygamma(n: int, x: float) -> float:
     if n < 1:
         raise DomainError(f"polygamma order must be >= 1, got {n}")
     _require_positive(x)
-    # For n >= 8 the direct series converges in a handful of terms and beats
-    # the truncated Bernoulli expansion; below the cutoff it avoids stacking
-    # recurrence steps onto a dominant 1/x^{n+1} term.
-    if x < _SERIES_CUTOFF or n >= 8:
-        return _polygamma_series(n, x)
-    shift = 0.0
-    while x < _SHIFT_THRESHOLD:
-        shift += x ** -(n + 1)
-        x += 1.0
-    # psi^(n)(x) = psi^(n)(x+m) - (-1)^n n! sum_k (x+k)^{-(n+1)}
-    shift *= math.factorial(n)
-    if n % 2 == 1:
-        shift = -shift
-    return _polygamma_asymptotic(n, x) - shift
+    total, y = _euler_maclaurin(n + 1, x)
+    value = math.factorial(n) * (total + y**-n / n)
+    if value == math.inf:
+        raise OverflowError(f"psi^({n})({x}) exceeds the double range")
+    return value if n % 2 == 1 else -value
 
 
 def check_polygamma_bounds(n: int, x: float) -> bool:
@@ -181,7 +125,7 @@ def check_polygamma_bounds(n: int, x: float) -> bool:
         value = -value
     base = math.factorial(n - 1) / x**n
     step = math.factorial(n) / x ** (n + 1)
-    tol = _SERIES_TOL * max(1.0, abs(value))
+    tol = 1e-15 * max(1.0, abs(value))
     return base + 0.5 * step <= value + tol and value <= base + step + tol
 
 

@@ -190,7 +190,7 @@ class TestReportsAndCatalog:
         r = certify_constants(SMALL)
         d = json.loads(r.to_json())
         assert set(d) == {
-            "claim_id", "params", "plan", "verdict", "witnesses",
+            "claim_id", "params", "plan", "verdict", "witnesses", "n_witnesses",
             "min_margin", "strict", "note",
         }
         assert d["verdict"] == "certified"
@@ -253,6 +253,16 @@ class TestReportsAndCatalog:
             run_claims("thm1.2.lcm", SMALL, c=1.0)
         with pytest.raises(ValueError):
             run_claims("constants", SMALL, a=1.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                run_claims("ineq4", SMALL, a=1.5, c=value)
+
+    def test_witness_list_is_bounded(self):
+        for r in run_claims("thm1.2.lcm.onlyif", SMALL):
+            assert r.verdict is Verdict.CERTIFIED
+            assert len(r.witnesses) == 20
+            assert r.n_witnesses > 20
+            assert r.to_dict()["n_witnesses"] == r.n_witnesses
 
     def test_threshold_row_reports_its_c(self):
         reports = run_claims("thm3.1.mono", SMALL)

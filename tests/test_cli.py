@@ -50,6 +50,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--fn", "psi", "--x", "-1")
         assert code == 2
         assert "error" in err
+        for fn, x in (("gamma_log", "inf"), ("gamma_log", "nan"), ("gamma_log", "1.7e308"),
+                      ("psi", "5e-324")):
+            code, out, err = run(capsys, "eval", "--fn", fn, "--x", x)
+            assert (code, out) == (2, ""), (fn, x)
+            assert "error" in err
 
     def test_polygamma_needs_n(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "polygamma", "--x", "1")
@@ -124,6 +129,10 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--claim", "thm1.2.lcm", "--a", "2.5", "--c", "1")
         assert code == 2
         assert "override" in err
+        for value in ("nan", "inf", "-inf"):
+            code, _, err = run(capsys, "verify", "--claim", "thm2.3.geoconvex", f"--a={value}")
+            assert code == 2, value
+            assert "finite" in err
 
     def test_seed_override_deterministic(self, capsys):
         args = ["verify", "--claim", "ineq1", "--a", "1.5", "--seed", "7",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,37 @@ class TestDomainAndConfig:
     def test_polygamma_argument_rejected(self):
         with pytest.raises(DomainError):
             polygamma(1, -2.0)
+
+    @pytest.mark.parametrize("fn, args, error", [
+        (log_gamma, (math.nan,), DomainError),
+        (log_gamma, (math.inf,), DomainError),
+        (digamma, (math.nan,), DomainError),
+        (digamma, (math.inf,), DomainError),
+        (polygamma, (1, math.nan), DomainError),
+        (polygamma, (1, math.inf), DomainError),
+        (log_gamma, (1.7e308,), OverflowError),
+        (digamma, (5e-324,), OverflowError),
+        (polygamma, (63, 1e-4), OverflowError),
+    ], ids=["log_gamma(nan)", "log_gamma(inf)", "digamma(nan)", "digamma(inf)",
+            "polygamma(1,nan)", "polygamma(1,inf)", "log_gamma(1.7e308)", "digamma(5e-324)",
+            "polygamma(63,1e-4)"])
+    def test_nonfinite_or_overflow_raises(self, fn, args, error):
+        with pytest.raises(error):
+            fn(*args)
+
+
+def test_polygamma_matches_mpmath_to_high_order():
+    # every order the delta_n Taylor tail uses, including points in (12, 13]
+    xs = [1e-3, 1e-2, 0.1, 1.0, 1.5, 2.5, 10.0, 12.05, 12.4, 12.75, 13.0, 100.0, 1e3]
+    bad = []
+    with mpmath.workdps(40):
+        for n in range(1, 64):
+            for x in xs:
+                want = mpmath.psi(n, x)
+                err = float(abs((mpmath.mpf(polygamma(n, x)) - want) / want))
+                if err > 1e-14:
+                    bad.append((n, x, err))
+    assert not bad
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
