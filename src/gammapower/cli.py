@@ -8,8 +8,11 @@ Verbs:
     constants  print the built-in constants and the c0 bracket values
 
 Exit codes: 0 = evaluated / all certified, 1 = violation found,
-2 = usage or domain error.  Outputs are deterministic functions of the
-arguments and seed; CSV values carry full double round-trip precision.
+2 = usage or domain error (a non-finite value included), arithmetic
+failure (an overflow, an unconverged solve) or an unwritable --out; `main`
+maps every such error to 2 in one place.  Outputs are deterministic
+functions of the arguments and seed; CSV values carry full double
+round-trip precision.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable
 
 import numpy as np
@@ -71,21 +73,43 @@ FN_CATALOG: dict[str, Callable] = {
 _TAKES_N = {"polygamma", "delta_n", "log_g1_deriv"}
 
 
-def _usage_error(ns, *counts: str) -> bool:
-    """Print why an eval/sweep request cannot run (a missing --n, a count below 1)."""
-    if ns.fn in _TAKES_N and ns.n is None:
-        print(f"error: --fn {ns.fn} requires --n (derivative/series order)", file=sys.stderr)
-        return True
-    for name in counts:
-        if getattr(ns, name) < 1:
-            print(f"error: --{name.replace('_', '-')} must be at least 1", file=sys.stderr)
-            return True
-    return False
-
-
 def _params(ns) -> fam.Params:
     sign = fam.Sign.MINUS if ns.sign == "minus" else fam.Sign.PLUS
     return fam.Params(a=ns.a, c=ns.c, sign=sign)
+
+
+def _value(ns, x: float) -> float:
+    """FN_CATALOG[ns.fn] at x; a non-finite value is a domain error."""
+    v = FN_CATALOG[ns.fn](ns, x)
+    if not math.isfinite(v):
+        raise DomainError(f"{ns.fn} is not finite at x={x!r}: {v}")
+    return v
+
+
+def count(text: str) -> int:
+    """An integer >= 1; argparse reports bad text as an "invalid count value"."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _point_dict(p: critical.CriticalPoint) -> dict:
+    return {**asdict(p), "kind": p.kind.value}
+
+
+# solve --kind -> JSON payload; `critical` attributes are looked up per call.
+_SOLVERS: dict[str, Callable[[float], dict]] = {
+    "x0": lambda a: _point_dict(critical.find_x0(a)),
+    "x1x2": lambda a: {p.kind.value: _point_dict(p) for p in critical.find_x1_x2(a)},
+    "x3": lambda a: _point_dict(critical.find_x3(a)),
+    "x4": lambda a: _point_dict(critical.find_x4(a)),
+    "t4tilde": lambda a: _point_dict(critical.find_t4_tilde(a)),
+    "threshold-g2": lambda a: {"kind": "threshold-g2", "a": a,
+                               "value": critical.threshold_g2_increasing(a)},
+    "threshold-g3": lambda a: {"kind": "threshold-g3", "a": a,
+                               "value": critical.threshold_g3_increasing(a)},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,22 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a catalog function")
-    p_eval.add_argument("--fn", required=True, choices=sorted(FN_CATALOG))
     p_eval.add_argument("--a", type=float, default=1.0)
-    p_eval.add_argument("--c", type=float, default=0.0)
-    p_eval.add_argument("--n", type=int, default=None, help="order for polygamma/delta_n/log_g1_deriv")
-    p_eval.add_argument("--sign", choices=["plus", "minus"], default="plus")
     p_eval.add_argument("--x", type=float, default=None)
     p_eval.add_argument("--x-min", type=float, default=None)
     p_eval.add_argument("--x-max", type=float, default=None)
-    p_eval.add_argument("--points", type=int, default=100)
     p_eval.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="solve a critical point or threshold")
-    p_solve.add_argument(
-        "--kind", required=True,
-        choices=["x0", "x1x2", "x3", "x4", "t4tilde", "threshold-g2", "threshold-g3"],
-    )
+    p_solve.add_argument("--kind", required=True, choices=list(_SOLVERS))
     p_solve.add_argument("--a", type=float, required=True)
 
     p_verify = sub.add_parser("verify", help="run certification claims")
@@ -126,17 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="write full JSON reports here")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over (a, x)")
-    p_sweep.add_argument("--fn", required=True, choices=sorted(FN_CATALOG))
     p_sweep.add_argument("--a-min", type=float, required=True)
     p_sweep.add_argument("--a-max", type=float, required=True)
-    p_sweep.add_argument("--a-points", type=int, default=20)
-    p_sweep.add_argument("--c", type=float, default=0.0)
-    p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    p_sweep.add_argument("--a-points", type=count, default=20)
     p_sweep.add_argument("--x-min", type=float, required=True)
     p_sweep.add_argument("--x-max", type=float, required=True)
-    p_sweep.add_argument("--points", type=int, default=100)
     p_sweep.add_argument("--out", required=True)
+
+    for p in (p_eval, p_sweep):
+        p.add_argument("--fn", required=True, choices=sorted(FN_CATALOG))
+        p.add_argument("--c", type=float, default=0.0)
+        p.add_argument("--n", type=int, default=None, help="order for polygamma/delta_n/log_g1_deriv")
+        p.add_argument("--sign", choices=["plus", "minus"], default="plus")
+        p.add_argument("--points", type=count, default=100)
 
     sub.add_parser("constants", help="print constants and the c0 bracket")
     sub.add_parser("list-claims", help="print the claim catalog identifiers")
@@ -144,73 +162,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_eval(ns, out) -> int:
-    fn = FN_CATALOG[ns.fn]
-    if _usage_error(ns, "points"):
-        return 2
     if ns.x is not None:
-        try:
-            out.write(_fmt(fn(ns, ns.x)) + "\n")
-        except (DomainError, OverflowError) as exc:
-            print(f"error at x={ns.x!r}: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    if ns.x_min is None or ns.x_max is None:
-        print("eval requires either --x or both --x-min and --x-max", file=sys.stderr)
-        return 2
-    out.write("x,value\n")
-    for x in np.linspace(ns.x_min, ns.x_max, ns.points).tolist():
-        try:
-            out.write(f"{_fmt(x)},{_fmt(fn(ns, x))}\n")
-        except (DomainError, OverflowError) as exc:
-            print(f"error at x={x!r}: {exc}", file=sys.stderr)
-            return 2
+        text = _fmt(_value(ns, ns.x)) + "\n"
+    else:
+        xs = np.linspace(ns.x_min, ns.x_max, ns.points).tolist()
+        text = "x,value\n" + "".join(f"{_fmt(x)},{_fmt(_value(ns, x))}\n" for x in xs)
+    if ns.out:
+        with open(ns.out, "w") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
     return 0
 
 
-def _point_dict(p: critical.CriticalPoint) -> dict:
-    return {
-        "kind": p.kind.value,
-        "a": p.a,
-        "value": p.value,
-        "residual": p.residual,
-        "bracket": list(p.bracket),
-    }
-
-
 def _run_solve(ns, out) -> int:
-    try:
-        if ns.kind == "x0":
-            payload = _point_dict(critical.find_x0(ns.a))
-        elif ns.kind == "x1x2":
-            p1, p2 = critical.find_x1_x2(ns.a)
-            payload = {"x1": _point_dict(p1), "x2": _point_dict(p2)}
-        elif ns.kind == "x3":
-            payload = _point_dict(critical.find_x3(ns.a))
-        elif ns.kind == "x4":
-            payload = _point_dict(critical.find_x4(ns.a))
-        elif ns.kind == "t4tilde":
-            payload = _point_dict(critical.find_t4_tilde(ns.a))
-        elif ns.kind == "threshold-g2":
-            payload = {"kind": "threshold-g2", "a": ns.a,
-                       "value": critical.threshold_g2_increasing(ns.a)}
-        else:
-            payload = {"kind": "threshold-g3", "a": ns.a,
-                       "value": critical.threshold_g3_increasing(ns.a)}
-    except (critical.PreconditionError, critical.BracketError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out.write(json.dumps(payload, sort_keys=True) + "\n")
+    out.write(json.dumps(_SOLVERS[ns.kind](ns.a), sort_keys=True) + "\n")
     return 0
 
 
 def _run_verify(ns, out) -> int:
     overrides = {"seed": ns.seed, "tol": ns.tol, "grid_points": ns.points}
-    try:
-        plan = replace(SamplePlan(), **{k: v for k, v in overrides.items() if v is not None})
-        reports = run_claims(ns.claim, plan=plan, a=ns.a, c=ns.c)
-    except (KeyError, ValueError, ArithmeticError, critical.BracketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = replace(SamplePlan(), **{k: v for k, v in overrides.items() if v is not None})
+    reports = run_claims(ns.claim, plan=plan, a=ns.a, c=ns.c)
     dicts = [r.to_dict() for r in reports]
     if ns.out:
         with open(ns.out, "w") as fh:
@@ -228,31 +201,22 @@ def _run_verify(ns, out) -> int:
     return 0 if all(r.verdict is Verdict.CERTIFIED for r in reports) else 1
 
 
-def _run_sweep(ns) -> int:
-    fn = FN_CATALOG[ns.fn]
-    if _usage_error(ns, "points", "a_points"):
-        return 2
+def _run_sweep(ns, out) -> int:
     xs = np.linspace(ns.x_min, ns.x_max, ns.points).tolist()
-    try:
-        with open(ns.out, "w") as fh:
-            fh.write("a,x,value\n")
-            for a in np.linspace(ns.a_min, ns.a_max, ns.a_points).tolist():
-                ns.a = a
-                for x in xs:
-                    try:
-                        v = fn(ns, x)
-                    except (DomainError, OverflowError):
-                        continue  # outside this slice's domain; skip the row
-                    fh.write(f"{_fmt(a)},{_fmt(x)},{_fmt(v)}\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if os.path.exists(ns.out):
-            os.unlink(ns.out)
-        return 2
+    with open(ns.out, "w") as fh:
+        fh.write("a,x,value\n")
+        for a in np.linspace(ns.a_min, ns.a_max, ns.a_points).tolist():
+            ns.a = a
+            for x in xs:
+                try:
+                    v = _value(ns, x)
+                except (DomainError, ArithmeticError):
+                    continue  # outside this slice's domain; skip the row
+                fh.write(f"{_fmt(a)},{_fmt(x)},{_fmt(v)}\n")
     return 0
 
 
-def _run_constants(out) -> int:
+def _run_constants(ns, out) -> int:
     lower, upper = C0_BRACKET
     out.write(f"euler_gamma,{_fmt(EULER_GAMMA)}\n")
     out.write(f"pi,{_fmt(PI)}\n")
@@ -262,29 +226,32 @@ def _run_constants(out) -> int:
     return 0
 
 
+def _run_list_claims(ns, out) -> int:
+    out.write("".join(cid + "\n" for cid in claim_ids()))
+    return 0
+
+
+_VERBS = {"eval": _run_eval, "solve": _run_solve, "verify": _run_verify, "sweep": _run_sweep,
+          "constants": _run_constants, "list-claims": _run_list_claims}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if getattr(ns, "fn", None) in _TAKES_N and ns.n is None:
+            parser.error(f"--fn {ns.fn} requires --n (derivative/series order)")
+        if ns.verb == "eval" and ns.x is None and (ns.x_min is None or ns.x_max is None):
+            parser.error("eval requires either --x or both --x-min and --x-max")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    out = sys.stdout
-    if ns.verb == "eval":
-        if ns.out:
-            with open(ns.out, "w") as fh:
-                return _run_eval(ns, fh)
-        return _run_eval(ns, out)
-    if ns.verb == "solve":
-        return _run_solve(ns, out)
-    if ns.verb == "verify":
-        return _run_verify(ns, out)
-    if ns.verb == "sweep":
-        return _run_sweep(ns)
-    if ns.verb == "list-claims":
-        for cid in claim_ids():
-            out.write(cid + "\n")
-        return 0
-    return _run_constants(out)
+    try:
+        return _VERBS[ns.verb](ns, sys.stdout)
+    except (ValueError, ArithmeticError, KeyError, critical.BracketError, OSError) as exc:
+        # ValueError includes DomainError, PreconditionError and bad plans,
+        # ArithmeticError an unconverged solve, KeyError an unknown claim.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

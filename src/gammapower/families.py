@@ -25,7 +25,8 @@ h21, h31, h41 and h41' are the shifted-argument numerators whose sign
 changes locate the critical points solved in :mod:`gammapower.critical`.
 
 All evaluations go through log space; overflow of the final exp raises
-OverflowError rather than saturating.
+OverflowError rather than saturating, and so does an exponent that is +inf
+or nan.  Derivative and series orders n run over 1..MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .specfun import DomainError, digamma, log_gamma, polygamma, EULER_GAMMA
+from .specfun import MAX_ORDER, DomainError, digamma, log_gamma, polygamma, EULER_GAMMA
 
 __all__ = [
     "Sign",
@@ -80,10 +81,13 @@ class Params:
 
 
 def _exp_checked(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        raise OverflowError(f"family value overflows: exp({v})") from None
+    """exp(v); an exponent that overflows, +inf or nan raises OverflowError."""
+    if v < math.inf:
+        try:
+            return math.exp(v)
+        except OverflowError:
+            pass
+    raise OverflowError(f"family value overflows: exp({v})")
 
 
 def _check_family_domain(a: float, x: float) -> None:
@@ -259,8 +263,8 @@ def delta_n(a: float, n: int, x: float) -> float:
 
     which starts at the leading order and converges geometrically.
     """
-    if n < 1:
-        raise DomainError(f"delta_n requires n >= 1, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"delta_n requires 1 <= n <= {MAX_ORDER}, got {n}")
     if x <= -a:
         raise DomainError(f"x must exceed -a = {-a}, got {x}")
     if x != 0.0 and abs(x) <= 0.2 * (x + a) and a > 0.0:
@@ -291,8 +295,8 @@ def log_g1_deriv(a: float, n: int, x: float) -> float:
     For x != 0 this is the closed form (-1)^n n! delta_n(x) / x^{n+1}; at the
     removable point x = 0 (only a = 1 or a = 2) it is -psi^(n)(a)/(n+1).
     """
-    if n < 1:
-        raise DomainError(f"log_g1_deriv requires n >= 1, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"log_g1_deriv requires 1 <= n <= {MAX_ORDER}, got {n}")
     if x == 0.0:
         if a not in (1.0, 2.0):
             raise DomainError("derivatives at x = 0 require a = 1 or a = 2")

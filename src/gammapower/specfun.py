@@ -11,9 +11,9 @@ term at y and the Bernoulli corrections at y.  psi is the same sum at s = 1,
 with log y in place of the divergent integral.
 
 Every public function returns a finite value or raises: DomainError for an
-argument outside (0, inf), nan and inf included, and OverflowError when the
-value exceeds the double range.  Everything here is a pure function of its
-inputs, so concurrent use is safe.
+argument outside (0, inf), nan and inf included, or an order outside
+1..MAX_ORDER, and OverflowError when the value exceeds the double range.
+Everything here is a pure function of its inputs, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "EULER_GAMMA",
     "PI",
     "ZETA3",
+    "MAX_ORDER",
     "log_gamma",
     "digamma",
     "polygamma",
@@ -42,6 +43,9 @@ class DomainError(ValueError):
 EULER_GAMMA = 0.5772156649015328606
 PI = math.pi
 ZETA3 = 1.2020569031595942854
+
+# Highest derivative order: 170! is the largest factorial that is a finite double.
+MAX_ORDER = 170
 
 # Bernoulli numbers B_2, B_4, ..., B_20 for the Euler-Maclaurin corrections.
 _BERNOULLI = (
@@ -103,9 +107,9 @@ def digamma(x: float) -> float:
 
 
 def polygamma(n: int, x: float) -> float:
-    """psi^(n)(x) for n >= 1, x > 0.  Sign is (-1)^(n+1)."""
-    if n < 1:
-        raise DomainError(f"polygamma order must be >= 1, got {n}")
+    """psi^(n)(x) for 1 <= n <= MAX_ORDER, x > 0.  Sign is (-1)^(n+1)."""
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"polygamma order must be in 1..{MAX_ORDER}, got {n}")
     _require_positive(x)
     total, y = _euler_maclaurin(n + 1, x)
     value = math.factorial(n) * (total + y**-n / n)

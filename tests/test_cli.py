@@ -1,11 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gammapower.cli import main
+import gammapower
+from gammapower.cli import FN_CATALOG, main
 from gammapower.specfun import EULER_GAMMA
 
 
@@ -13,6 +22,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(*argv):
+    """main(argv) with stdout and stderr captured, for hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEval:
@@ -56,6 +73,33 @@ class TestEval:
             assert (code, out) == (2, ""), (fn, x)
             assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--fn", "h4", "--a=1e300", "--x=1e-300"),
+        ("--fn", "log_g1_deriv", "--n", "1", "--a=1e300", "--x=1e-300"),
+        ("--fn", "h21", "--a=inf", "--x=1e300"),
+        ("--fn", "h4", "--a=1e300", "--x=1e300"),
+        ("--fn", "polygamma", "--n", "171", "--x", "2"),
+    ], ids=["h4 zero division", "log_g1_deriv zero division", "h21 inf", "h4 nan",
+            "polygamma order 171"])
+    def test_arithmetic_or_nonfinite_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "eval", "--fn", "psi", "--x", "1",
+                             "--out", str(tmp_path / "missing" / "f"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fn", ["f", "g"])
+    def test_sign_minus_is_reciprocal(self, capsys, fn):
+        args = ("eval", "--fn", fn, "--a", "1.5", "--c", "0.5", "--x", "2.5")
+        _, plus, _ = run(capsys, *args)
+        code, minus, _ = run(capsys, *args, "--sign", "minus")
+        assert code == 0
+        assert float(minus) == pytest.approx(1.0 / float(plus), rel=1e-15)
+
     def test_polygamma_needs_n(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "polygamma", "--x", "1")
         assert code == 2
@@ -86,6 +130,20 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--kind", "x3", "--a", "2.5")
         assert code == 2
         assert "1 < a < 2" in err
+
+    def test_unconverged_exit_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--kind", "x0", "--a=-1e6")
+        assert (code, out) == (2, "")
+        assert "residual" in err
+
+    def test_main_module_exit_2_without_traceback(self):
+        src = str(Path(gammapower.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammapower.cli", "solve", "--kind", "x0", "--a=-1e6"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "solve", "--kind", "x1x2", "--a", "0.5")
@@ -119,6 +177,12 @@ class TestVerify:
         on_disk = json.loads(dest.read_text())
         assert inline == on_disk
         assert inline[0]["verdict"] == "certified"
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--claim", "constants",
+                             "--out", str(tmp_path / "missing" / "f"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_bad_tol_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "constants", "--tol", "-1")
@@ -163,6 +227,25 @@ class TestSweepAndConstants:
         lines = dest.read_text().strip().splitlines()
         assert len(lines) == 2  # header + x=1 row only
 
+    def test_sweep_skips_nonfinite(self, capsys, tmp_path):
+        dest = tmp_path / "sweep.csv"
+        # h4 is nan at a = x = 1e300 and finite at a = x = 1
+        code, _, _ = run(capsys, "sweep", "--fn", "h4", "--a-min", "1", "--a-max", "1e300",
+                         "--a-points", "2", "--x-min", "1", "--x-max", "1e300",
+                         "--points", "2", "--out", str(dest))
+        assert code == 0
+        rows = [tuple(map(float, line.split(",")))
+                for line in dest.read_text().strip().splitlines()[1:]]
+        assert rows and all(math.isfinite(v) for _, _, v in rows)
+        assert (1e300, 1e300) not in [(a, x) for a, x, _ in rows]
+
+    def test_sweep_out_is_directory_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--fn", "h2", "--a-min", "1", "--a-max", "2",
+                           "--x-min", "0.5", "--x-max", "5", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert tmp_path.is_dir()
+
     def test_sweep_needs_n(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
         code, _, err = run(capsys, "sweep", "--fn", "delta_n", "--a-min", "1", "--a-max", "2",
@@ -199,3 +282,41 @@ class TestArgparseBehavior:
     def test_usage_error_exit_2(self, capsys):
         assert main(["eval"]) == 2  # missing --fn
         assert main(["frobnicate"]) == 2
+
+
+# Any float, weighted towards the edges: nan, +-inf, subnormals, +-1e300, 0.
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.0, 1.0, 2.0]))
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestExitCodeProperty:
+    """main returns 0 or 2 and never raises; on 0 every printed number is finite."""
+
+    @pytest.mark.parametrize("fn", sorted(FN_CATALOG))
+    @given(x=_ANY_FLOAT, a=_ANY_FLOAT, c=_ANY_FLOAT, n=st.integers(1, 8),
+           sign=st.sampled_from(["plus", "minus"]))
+    @settings(max_examples=30, deadline=None)
+    def test_eval(self, fn, x, a, c, n, sign):
+        code, out, _ = run_quiet("eval", "--fn", fn, f"--x={x!r}", f"--a={a!r}", f"--c={c!r}",
+                                 f"--n={n}", f"--sign={sign}")
+        assert code in (0, 2)
+        if code == 0:
+            assert math.isfinite(float(out))
+
+    @pytest.mark.parametrize("kind", ["x0", "x1x2", "x3", "x4", "t4tilde",
+                                      "threshold-g2", "threshold-g3"])
+    @given(a=_ANY_FLOAT)
+    @settings(max_examples=30, deadline=None)
+    def test_solve(self, kind, a):
+        code, out, _ = run_quiet("solve", "--kind", kind, f"--a={a!r}")
+        assert code in (0, 2)
+        if code == 0:
+            assert _all_finite(json.loads(out))

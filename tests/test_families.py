@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,22 @@ class TestDomainErrors:
     def test_delta_n_order(self):
         with pytest.raises(DomainError):
             delta_n(1.0, 0, 0.5)
+
+    @pytest.mark.parametrize("fn", [lambda: g1(1.5, 5e-324),
+                                    lambda: f_family(Params(1.5, 1e308), 5e-324)],
+                             ids=["g1 exponent +inf", "f exponent nan"])
+    def test_nonfinite_exponent_is_overflow(self, fn):
+        with pytest.raises(OverflowError):
+            fn()
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("x", [s * m for m in (1e-14, 1e-9, 3e-6, 9.9e-5) for s in (1, -1)])
+def test_log_g1_taylor_window_matches_mpmath(a, x):
+    # |x| < 1e-4 at a in {1, 2} takes the Taylor form around the removable point
+    with mpmath.workdps(40):
+        want = -mpmath.loggamma(mpmath.mpf(x) + a) / mpmath.mpf(x)
+        assert float(abs((log_g1(a, x) - want) / want)) <= 1e-15
 
 
 class TestAuxiliaryValues:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammapower.families import delta_n, log_g1_deriv
 from gammapower.specfun import (
     DomainError,
     EULER_GAMMA,
+    MAX_ORDER,
     check_polygamma_bounds,
     digamma,
     log_gamma,
@@ -155,6 +157,20 @@ class TestDomainAndConfig:
     def test_nonfinite_or_overflow_raises(self, fn, args, error):
         with pytest.raises(error):
             fn(*args)
+
+
+@pytest.mark.parametrize("n", [MAX_ORDER + 1, 10**6])
+@pytest.mark.parametrize("fn", [
+    lambda n: polygamma(n, 2.0),
+    lambda n: polygamma(n, 50.0),
+    lambda n: delta_n(1.5, n, 0.1),
+    lambda n: log_g1_deriv(1.5, n, 0.1),
+], ids=["polygamma(n,2)", "polygamma(n,50)", "delta_n(1.5,n,0.1)", "log_g1_deriv(1.5,n,0.1)"])
+def test_order_beyond_max_is_domain_error(fn, n):
+    # MAX_ORDER = 170 is the largest n whose n! is a finite double
+    assert MAX_ORDER == 170 and math.isfinite(math.factorial(MAX_ORDER))
+    with pytest.raises(DomainError, match="170"):
+        fn(n)
 
 
 def test_polygamma_matches_mpmath_to_high_order():
