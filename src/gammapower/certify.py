@@ -65,15 +65,17 @@ _REGIONS: dict[str, Callable[[float, float], bool]] = {
 
 Region = Enum("Region", [(name, name) for name in _REGIONS if name.startswith("D")])
 
-# Inequality id -> (orientation, regions whose union it needs), tried in order.
-_INEQ_REGIONS: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
-    "ineq1": (("direct", ("1 <= a <= 2",)),),
-    "ineq2": (("direct", ("1 <= a <= 2",)),),
-    "ineq3": (("direct", ("D1", "D2")),),
-    "ineq4": (("direct", ("D5", "D6")), ("reversed", ("D7", "D8"))),
-    "ineq5": (("direct", ("D6",)), ("reversed", ("D8",))),
-    "ineq6": (("direct", ("D6",)), ("reversed", ("D11",))),
-    "ineq7": (("direct", ("D9", "D10")),),
+# Inequality id -> (chain q0 <= q1 <= ... of _QUANTITIES names in the direct
+# orientation, (orientation, regions whose union it needs) rules tried in
+# order).  The reversed orientation reverses the chain.
+_INEQUALITIES: dict[str, tuple[tuple[str, ...], tuple[tuple[str, tuple[str, ...]], ...]]] = {
+    "ineq1": (("r", "0"), (("direct", ("1 <= a <= 2",)),)),
+    "ineq2": (("0", "m"), (("direct", ("1 <= a <= 2",)),)),
+    "ineq3": (("h2(y) log(x/y)", "r", "h2(x) log(x/y)"), (("direct", ("D1", "D2")),)),
+    "ineq4": (("c log(x/y)", "r"), (("direct", ("D5", "D6")), ("reversed", ("D7", "D8")))),
+    "ineq5": (("m", "c log(A/G)"), (("direct", ("D6",)), ("reversed", ("D8",)))),
+    "ineq6": (("c log((x+a)/(y+a))", "r"), (("direct", ("D6",)), ("reversed", ("D11",)))),
+    "ineq7": (("g3 lower bound", "r", "g3 upper bound"), (("direct", ("D9", "D10")),)),
 }
 
 
@@ -84,7 +86,7 @@ def classify(a: float, c: float) -> set[Region]:
 
 def _orientation(id_: str, a: float, c: float) -> tuple[str, str]:
     """(orientation, region description) of inequality id_ at (a, c)."""
-    rules = _INEQ_REGIONS[id_]
+    rules = _INEQUALITIES[id_][1]
     doc = " / ".join(" u ".join(names) + (f" ({o})" if len(rules) > 1 else "")
                      for o, names in rules)
     for orient, names in rules:
@@ -117,10 +119,15 @@ class SamplePlan:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not lo < hi:
-            raise ValueError(f"empty interval {self.interval}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        problems = [text for ok, text in (
+            (-math.inf < lo < hi < math.inf, f"interval {self.interval} is empty or not finite"),
+            (0.0 < self.tol < math.inf, f"tol {self.tol} is not positive and finite"),
+            (self.seed >= 0, f"seed {self.seed} is negative"),
+            (self.grid_points >= 1, f"grid_points {self.grid_points} is below 1"),
+            (self.random_points >= 0, f"random_points {self.random_points} is negative"),
+            (math.isfinite(self.margin), f"margin {self.margin} is not finite")) if not ok]
+        if problems:
+            raise ValueError("bad sample plan: " + "; ".join(problems))
 
     def points(self, excluded: Sequence[float] = ()) -> np.ndarray:
         """Sorted sample points, margin-excluded around `excluded` centers."""
@@ -138,18 +145,15 @@ class SamplePlan:
             keep &= np.abs(pts - center) > self.margin
         return np.sort(pts[keep])
 
-    def pair_points(self) -> np.ndarray:
-        """Axis points for pair (x, y) sampling: ceil(sqrt(grid_points))."""
-        lo, hi = self.interval
-        n = math.isqrt(self.grid_points - 1) + 1
-        return np.geomspace(max(lo, 1e-12), hi, n)
-
     def pairs(self) -> np.ndarray:
-        """(N, 2) array: grid x grid pairs (diagonal included), then seeded random pairs."""
-        axis = self.pair_points()
+        """(N, 2) array: grid x grid pairs (diagonal included), then seeded random pairs.
+
+        The grid axis has ceil(sqrt(grid_points)) log-spaced points.
+        """
+        lo, hi = max(self.interval[0], 1e-12), self.interval[1]
+        axis = np.geomspace(lo, hi, math.isqrt(self.grid_points - 1) + 1)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rng = np.random.default_rng(self.seed)
-        lo, hi = max(self.interval[0], 1e-12), self.interval[1]
         raw = np.exp(rng.uniform(math.log(lo), math.log(hi), (self.random_points, 2)))
         return np.concatenate([grid, raw])
 
@@ -347,128 +351,88 @@ def certify_geoconvex_piecewise(family: str, a: float, c: float, plan: SamplePla
                     note=f"split at x3={x3!r}")
 
 
-# --- corollary inequalities -------------------------------------------------
+# --- corollary inequalities and comparisons ---------------------------------
 
 def _lg_over(a: float, x: float) -> float:
     return log_gamma(x + a) / x
 
 
-def _log_ratio(a: float, x: float, y: float) -> float:
-    # log of (Gamma(x+a))^(1/x) / (Gamma(y+a))^(1/y)
-    return _lg_over(a, x) - _lg_over(a, y)
+# Name -> f(a, c, x, y): the log-domain quantities at a pair 0 < x < y that the
+# corollary inequalities and the comparison remarks order.  r is the log of
+# (Gamma(x+a))^(1/x) / (Gamma(y+a))^(1/y), m that of Gamma(A+a)^(1/A) over the
+# geometric mean of the two family values, with A = (x+y)/2 and G = sqrt(xy).
+# Every quantity vanishes at x = y.
+_QUANTITIES: dict[str, Callable[[float, float, float, float], float]] = {
+    "r": lambda a, c, x, y: _lg_over(a, x) - _lg_over(a, y),
+    "m": lambda a, c, x, y: _lg_over(a, 0.5 * (x + y)) - 0.5 * (_lg_over(a, x) + _lg_over(a, y)),
+    "0": lambda a, c, x, y: 0.0,
+    "c log(x/y)": lambda a, c, x, y: c * math.log(x / y),
+    "c log(A/G)": lambda a, c, x, y: c * math.log(0.5 * (x + y) / math.sqrt(x * y)),
+    "c log((x+a)/(y+a))": lambda a, c, x, y: c * math.log((x + a) / (y + a)),
+    "h2(y) log(x/y)": lambda a, c, x, y: fam.h2(a, y) * math.log(x / y),
+    "h2(x) log(x/y)": lambda a, c, x, y: fam.h2(a, x) * math.log(x / y),
+    "g3 lower bound": lambda a, c, x, y: ((fam.h2(a, y) - c * y / (y + a)) * math.log(x / y)
+                                          + c * math.log((x + a) / (y + a))),
+    "g3 upper bound": lambda a, c, x, y: ((fam.h2(a, x) - c * x / (x + a)) * math.log(x / y)
+                                          + c * math.log((x + a) / (y + a))),
+}
 
-
-def _log_mid_ratio(a: float, x: float, y: float) -> float:
-    # log of Gamma((x+y)/2+a)^(2/(x+y)) / sqrt(of the two family values)
-    return _lg_over(a, 0.5 * (x + y)) - 0.5 * (_lg_over(a, x) + _lg_over(a, y))
-
-
-def _ineq_margins(id_: str, orient: str, a: float, c: float, x: float, y: float) -> list[float]:
-    """Log-domain margins (>= 0 means the inequality holds) for one pair."""
-    flip = -1.0 if orient == "reversed" else 1.0
-    if id_ in ("ineq1", "ineq4", "ineq6"):
-        x, y = min(x, y), max(x, y)
-    if id_ == "ineq1":
-        return [-_log_ratio(a, x, y)]
-    if id_ == "ineq2":
-        return [_log_mid_ratio(a, x, y)]
-    if id_ == "ineq4":
-        return [flip * (_log_ratio(a, x, y) - c * math.log(x / y))]
-    if id_ == "ineq5":
-        bound = c * math.log(0.5 * (x + y) / math.sqrt(x * y))
-        return [flip * (bound - _log_mid_ratio(a, x, y))]
-    if id_ == "ineq6":
-        return [flip * (_log_ratio(a, x, y) - c * math.log((x + a) / (y + a)))]
-    r, lxy = _log_ratio(a, x, y), math.log(x / y)
-    if id_ == "ineq3":
-        return [r - fam.h2(a, y) * lxy, fam.h2(a, x) * lxy - r]
-    shift = c * math.log((x + a) / (y + a))  # ineq7
-    lower = (fam.h2(a, y) - c * y / (y + a)) * lxy + shift
-    upper = (fam.h2(a, x) - c * x / (x + a)) * lxy + shift
-    return [r - lower, upper - r]
-
-
-# Equality holds exactly at x = y for these; checked at |ratio - bound| <= 1e-10.
-_EQUALITY_IDS = {"ineq2", "ineq3", "ineq5", "ineq7"}
+# Diagonal pairs whose chain spreads by more than this (as a ratio) break equality.
 _EQUALITY_TOL = 1e-10
+
+def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float]]) -> list[Block]:
+    """Blocks checking q0 <= q1 <= ... for each (names, a, c) chain.
+
+    The pairs are the plan's, each sorted to x <= y.  The margins are the
+    differences of consecutive quantities on the pairs farther apart than
+    tol; the diagonal pairs are checked for equality, which every chain is at
+    x = y, and their witnesses follow the others.
+    """
+    p = np.sort(plan.pairs(), axis=1)
+    apart, diag = np.abs(p[:, 0] - p[:, 1]) > plan.tol, p[:, 0] == p[:, 1]
+    out: list[Block] = []
+    for names, a, c in chains:
+        fns = [_QUANTITIES[q] for q in names]
+        v = np.array([f(a, c, x, y) for x, y in p.tolist() for f in fns], dtype=float)
+        steps = np.diff(v.reshape(len(p), len(fns)), axis=1)
+        gap = np.abs(np.expm1(np.abs(steps).max(axis=1)))
+        broken = diag & (gap > _EQUALITY_TOL)
+        out += [(p[apart], steps[apart], [f"{lo} <= {hi}" for lo, hi in zip(names, names[1:])]),
+                (p[broken], -gap[broken], "equality at x = y")]
+    return out
 
 
 def certify_inequality(id_: str, params: fam.Params, plan: SamplePlan,
                        claim_id: str | None = None) -> ClaimReport:
     """Certify one corollary inequality over grid x grid plus random pairs.
 
-    Pairs closer than tol are skipped.  Where the inequality is an equality
-    at x = y, the diagonal pairs are checked for it; their witnesses follow
-    the others.
+    The inequality is its chain in the orientation its region gives (the
+    reversed orientation reverses the chain), checked as in :func:`_chains`.
     """
-    if id_ not in _INEQ_REGIONS:
+    if id_ not in _INEQUALITIES:
         raise ValueError(f"unknown inequality id {id_!r}")
     a, c = params.a, params.c
     orient, doc = _orientation(id_, a, c)
-
-    def blocks() -> list[Block]:
-        p = plan.pairs()
-        apart = p[np.abs(p[:, 0] - p[:, 1]) > plan.tol]
-        out = [(apart, [_ineq_margins(id_, orient, a, c, x, y) for x, y in apart.tolist()],
-                f"{id_} ({orient})")]
-        if id_ in _EQUALITY_IDS:
-            diag = p[p[:, 0] == p[:, 1]]
-            gap = np.array([abs(math.expm1(max(map(abs, _ineq_margins(id_, orient, a, c, x, x)))))
-                            for x, _ in diag.tolist()], dtype=float)
-            out.append((diag[gap > _EQUALITY_TOL], -gap[gap > _EQUALITY_TOL], "equality at x = y"))
-        return out
-
-    return _check(claim_id or f"{id_}.{orient}", params, plan, blocks,
-                  f"region {doc}, orientation {orient}")
+    names = _INEQUALITIES[id_][0][::-1 if orient == "reversed" else 1]
+    return _check(claim_id or f"{id_}.{orient}", params, plan,
+                  lambda: _chains(plan, [(names, a, c)]), f"region {doc}, orientation {orient}")
 
 
-# --- comparison-of-inequalities remarks ------------------------------------
-
-def _cmp_margins(side: str, a: float, c: float, x: float, y: float) -> tuple[float, ...]:
-    """Margins of one comparison side at 0 < x < y; see certify_comparisons."""
-    lxy = math.log(x / y)
-    if side == "mid":
-        return _log_mid_ratio(a, x, y), -c * math.log(0.5 * (x + y) / math.sqrt(x * y))
-    if side == "upper":
-        up = fam.h2(a, x) * lxy
-        return up - _log_ratio(a, x, y), -up, c * lxy
-    if side == "lower":
-        low = fam.h2(a, y) * lxy
-        return _log_ratio(a, x, y) - low, low - c * lxy
-    shift = c * math.log((x + a) / (y + a))  # "g3"
-    upper = (fam.h2(a, x) - c * x / (x + a)) * lxy + shift
-    return upper - _log_ratio(a, x, y), shift - upper
-
-
-_LABELS = {
-    "mid": ("midpoint ratio >= 1", "power bound <= 1"),
-    "upper": ("ratio <= closed-form upper bound", "closed-form upper bound < 1",
-              "reversed power bound >= 1"),
-    "lower": ("closed-form lower bound <= ratio", "power bound <= closed-form lower bound"),
-    "g3": ("ratio <= g3 upper bound", "g3 upper bound <= power bound"),
-}
-
-# Comparison id -> (note, (side, a, c) checked in turn); the report shows the first (a, c).
-_COMPARISONS = {
-    "cmp1": ("midpoint ratio >= 1 >= ((x+y)/(2 sqrt(xy)))^c on D8", (("mid", 2.0, -1.0),)),
+# Comparison id -> (note, chains checked in turn); the report shows the first (a, c).
+_COMPARISONS: dict[str, tuple[str, tuple[tuple[tuple[str, ...], float, float], ...]]] = {
+    "cmp1": ("midpoint ratio >= 1 >= ((x+y)/(2 sqrt(xy)))^c on D8",
+             ((("c log(A/G)", "0", "m"), 2.0, -1.0),)),
     "cmp2": ("two-sided closed-form bounds sharper than the power bounds",
-             (("upper", 1.0, -1.0), ("upper", 2.0, -1.0),  # D7, D8
-              ("lower", 0.75, 1.5), ("lower", 3.0, 1.5))),  # D5, D6
+             tuple([(("r", "h2(x) log(x/y)", "0", "c log(x/y)"), a, -1.0) for a in (1.0, 2.0)]
+                   + [(("c log(x/y)", "h2(y) log(x/y)", "r"), a, 1.5) for a in (0.75, 3.0)])),
     "cmp3": ("g3 closed-form upper bound sharper than ((x+a)/(y+a))^c on D8",
-             (("g3", 2.0, -0.5),)),
+             ((("r", "g3 upper bound", "c log((x+a)/(y+a))"), 2.0, -0.5),)),
 }
 
 
 def _comparison(plan: SamplePlan, claim_id: str) -> ClaimReport:
-    note, sides = _COMPARISONS[claim_id]
-
-    def blocks() -> list[Block]:
-        p = plan.pairs()
-        p = np.sort(p[np.abs(p[:, 0] - p[:, 1]) > plan.tol], axis=1)
-        return [(p, [_cmp_margins(side, a, c, x, y) for x, y in p.tolist()], _LABELS[side])
-                for side, a, c in sides]
-
-    return _check(claim_id, fam.Params(*sides[0][1:]), plan, blocks, note)
+    note, chains = _COMPARISONS[claim_id]
+    return _check(claim_id, fam.Params(*chains[0][1:]), plan, lambda: _chains(plan, chains), note)
 
 
 def certify_comparisons(plan: SamplePlan = DEFAULT_PLAN) -> list[ClaimReport]:

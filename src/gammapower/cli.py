@@ -94,6 +94,24 @@ def count(text: str) -> int:
     return n
 
 
+def _finite(text: str) -> float:
+    """A finite float; argparse reports malformed text, nan and +-inf alike."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n); a range wider than the largest double is an error."""
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the range {lo!r} .. {hi!r} is too wide for a grid")
+    return np.linspace(lo, hi, n).tolist()
+
+
 def _point_dict(p: critical.CriticalPoint) -> dict:
     return {**asdict(p), "kind": p.kind.value}
 
@@ -122,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a catalog function")
     p_eval.add_argument("--a", type=float, default=1.0)
     p_eval.add_argument("--x", type=float, default=None)
-    p_eval.add_argument("--x-min", type=float, default=None)
-    p_eval.add_argument("--x-max", type=float, default=None)
+    p_eval.add_argument("--x-min", type=_finite, default=None)
+    p_eval.add_argument("--x-max", type=_finite, default=None)
     p_eval.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="solve a critical point or threshold")
@@ -137,16 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--points", type=int, default=None, help="grid points override")
+    p_verify.add_argument("--points", type=count, default=None, help="grid points override")
     p_verify.add_argument("--format", choices=["csv", "json"], default=None)
     p_verify.add_argument("--out", default=None, help="write full JSON reports here")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over (a, x)")
-    p_sweep.add_argument("--a-min", type=float, required=True)
-    p_sweep.add_argument("--a-max", type=float, required=True)
+    p_sweep.add_argument("--a-min", type=_finite, required=True)
+    p_sweep.add_argument("--a-max", type=_finite, required=True)
     p_sweep.add_argument("--a-points", type=count, default=20)
-    p_sweep.add_argument("--x-min", type=float, required=True)
-    p_sweep.add_argument("--x-max", type=float, required=True)
+    p_sweep.add_argument("--x-min", type=_finite, required=True)
+    p_sweep.add_argument("--x-max", type=_finite, required=True)
     p_sweep.add_argument("--out", required=True)
 
     for p in (p_eval, p_sweep):
@@ -165,7 +183,7 @@ def _run_eval(ns, out) -> int:
     if ns.x is not None:
         text = _fmt(_value(ns, ns.x)) + "\n"
     else:
-        xs = np.linspace(ns.x_min, ns.x_max, ns.points).tolist()
+        xs = _grid(ns.x_min, ns.x_max, ns.points)
         text = "x,value\n" + "".join(f"{_fmt(x)},{_fmt(_value(ns, x))}\n" for x in xs)
     if ns.out:
         with open(ns.out, "w") as fh:
@@ -202,10 +220,10 @@ def _run_verify(ns, out) -> int:
 
 
 def _run_sweep(ns, out) -> int:
-    xs = np.linspace(ns.x_min, ns.x_max, ns.points).tolist()
+    xs, grid_a = _grid(ns.x_min, ns.x_max, ns.points), _grid(ns.a_min, ns.a_max, ns.a_points)
     with open(ns.out, "w") as fh:
         fh.write("a,x,value\n")
-        for a in np.linspace(ns.a_min, ns.a_max, ns.a_points).tolist():
+        for a in grid_a:
             ns.a = a
             for x in xs:
                 try:

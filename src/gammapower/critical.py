@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .specfun import digamma, log_gamma, polygamma
+from .specfun import digamma, polygamma
 from .families import h1, h2, h4, h21, h41, h41_prime
 
 __all__ = [
@@ -123,26 +123,28 @@ def _expand_bracket(f: Callable[[float], float], left: float) -> tuple[float, fl
     raise BracketError(f"no sign change of target function on ({left}, {left + _OFFSET_CAP})")
 
 
-def _h1_residual(a: float, x: float) -> float:
-    lhs = x * digamma(x + a)
-    return abs(lhs - log_gamma(x + a)) / max(1.0, abs(lhs))
+def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
+           psi_term: Callable[[float], float], left: float, shift: float,
+           bracket: tuple[float, float] | None = None) -> CriticalPoint:
+    """Root t of f, reported with its bracket as t - shift.
 
-
-def _make_point(kind: CriticalKind, a: float, value: float, residual: float,
-                bracket: tuple[float, float]) -> CriticalPoint:
+    The bracket is `bracket`, or else the first sign change of f off `left`.
+    The residual is |f(t)| / max(1, |psi_term(t)|), the equation's psi term
+    setting its scale; above 1e-10 the solve has not converged.
+    """
+    tb = bracket or _expand_bracket(f, left)
+    t = _bisect_secant(f, *tb)
+    residual = abs(f(t)) / max(1.0, abs(psi_term(t)))
     if residual > _RESIDUAL_TOL:
         raise ArithmeticError(f"{kind.value} residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
-    return CriticalPoint(kind=kind, a=a, value=value, residual=residual, bracket=bracket)
+    return CriticalPoint(kind, a, t - shift, residual, (tb[0] - shift, tb[1] - shift))
 
 
 def find_x0(a: float) -> CriticalPoint:
     """Unique root of h1 on (-a, inf) for a <= 0 (h1 strictly decreasing)."""
     if a > 0.0:
         raise PreconditionError(f"x0 requires a <= 0, got a={a}")
-    f = lambda x: h1(a, x)
-    bracket = _expand_bracket(f, -a)
-    root = _bisect_secant(f, *bracket)
-    return _make_point(CriticalKind.X0, a, root, _h1_residual(a, root), bracket)
+    return _solve(CriticalKind.X0, a, lambda x: h1(a, x), lambda x: x * digamma(x + a), -a, 0.0)
 
 
 def find_x1_x2(a: float) -> tuple[CriticalPoint, CriticalPoint]:
@@ -152,60 +154,36 @@ def find_x1_x2(a: float) -> tuple[CriticalPoint, CriticalPoint]:
     for these a; for a in [1, 2] h1 is negative throughout and no roots exist.
     """
     if not (0.0 < a < 1.0 or a > 2.0):
-        raise PreconditionError(
-            f"x1/x2 require 0 < a < 1 or a > 2 (h1 has no roots for a in [1, 2]), got a={a}"
-        )
-    f = lambda x: h1(a, x)
-    # h1(-a+) = -inf while h1(0) = log Gamma(a) > 0: (-a, 0) brackets x1.
-    b1 = (-a + _FIRST_OFFSET * min(1.0, a), 0.0)
-    x1 = _bisect_secant(f, *b1)
-    # h1(0) > 0 and h1 -> -inf at infinity: expand right for x2.
-    b2 = _expand_bracket(f, 0.0)
-    x2 = _bisect_secant(f, *b2)
-    p1 = _make_point(CriticalKind.X1, a, x1, _h1_residual(a, x1), b1)
-    p2 = _make_point(CriticalKind.X2, a, x2, _h1_residual(a, x2), b2)
-    return p1, p2
+        raise PreconditionError(f"x1/x2 require 0 < a < 1 or a > 2 (h1 has no roots for "
+                                f"a in [1, 2]), got a={a}")
+    f, term = lambda x: h1(a, x), lambda x: x * digamma(x + a)
+    # h1(-a+) = -inf while h1(0) = log Gamma(a) > 0: (-a, 0) brackets x1; h1(0) > 0
+    # and h1 -> -inf at infinity: x2 lies right of 0.
+    return (_solve(CriticalKind.X1, a, f, term, 0.0, 0.0, (-a + _FIRST_OFFSET * min(1.0, a), 0.0)),
+            _solve(CriticalKind.X2, a, f, term, 0.0, 0.0))
 
 
 def find_x3(a: float) -> CriticalPoint:
     """Root of h21(x+a) on (0, inf) for 1 < a < 2; h2 is minimal there."""
     if not (1.0 < a < 2.0):
         raise PreconditionError(f"x3 requires 1 < a < 2, got a={a}")
-    f = lambda t: h21(a, t)
-    tb = _expand_bracket(f, a)
-    t3 = _bisect_secant(f, *tb)
-    x3 = t3 - a
-    lhs = x3 * x3 * polygamma(1, t3) + log_gamma(t3)
-    residual = abs(lhs - x3 * digamma(t3)) / max(1.0, abs(lhs))
-    return _make_point(CriticalKind.X3, a, x3, residual, (tb[0] - a, tb[1] - a))
+    return _solve(CriticalKind.X3, a, lambda t: h21(a, t), lambda t: (t - a) * digamma(t), a, a)
 
 
 def find_x4(a: float) -> CriticalPoint:
     """Root of h41(x+a) on (0, inf) for (3+sqrt(159))/12 <= a < 2."""
     if not (A_STAR <= a < 2.0):
         raise PreconditionError(f"x4 requires (3+sqrt(159))/12 <= a < 2, got a={a}")
-    f = lambda t: h41(a, t)
-    tb = _expand_bracket(f, a)
-    t4 = _bisect_secant(f, *tb)
-    x4 = t4 - a
-    lhs = x4 * x4 * t4 * polygamma(1, t4) + (x4 + 2.0 * a) * log_gamma(t4)
-    residual = abs(lhs - x4 * (x4 + 2.0 * a) * digamma(t4)) / max(1.0, abs(lhs))
-    return _make_point(CriticalKind.X4, a, x4, residual, (tb[0] - a, tb[1] - a))
+    return _solve(CriticalKind.X4, a, lambda t: h41(a, t), lambda t: (t * t - a * a) * digamma(t),
+                  a, a)
 
 
 def find_t4_tilde(a: float) -> CriticalPoint:
     """Root of h41' on (a, inf); lies below t4 = x4 + a."""
     if not (A_STAR <= a < 2.0):
-        raise PreconditionError(
-            f"t4~ requires (3+sqrt(159))/12 <= a < 2, got a={a}"
-        )
-    f = lambda t: h41_prime(a, t)
-    tb = _expand_bracket(f, a)
-    t = _bisect_secant(f, *tb)
-    u = t - a
-    lhs = t * u * u * polygamma(2, t) + 2.0 * u * u * polygamma(1, t) + log_gamma(t)
-    residual = abs(lhs - u * digamma(t)) / max(1.0, abs(lhs))
-    return _make_point(CriticalKind.T4TILDE, a, t, residual, tb)
+        raise PreconditionError(f"t4~ requires (3+sqrt(159))/12 <= a < 2, got a={a}")
+    return _solve(CriticalKind.T4TILDE, a, lambda t: h41_prime(a, t),
+                  lambda t: (t - a) * digamma(t), a, 0.0)
 
 
 def threshold_g2_increasing(a: float) -> float:

@@ -63,10 +63,13 @@ class TestSamplePlan:
         assert np.array_equal(pairs, SMALL.pairs())
 
     def test_bad_plan_rejected(self):
-        with pytest.raises(ValueError):
-            SamplePlan(interval=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            SamplePlan(tol=-1.0)
+        for field, value in (
+                ("interval", (2.0, 1.0)), ("interval", (math.nan, 1.0)), ("interval", (1.0, math.inf)),
+                ("tol", -1.0), ("tol", 0.0), ("tol", math.nan), ("tol", math.inf), ("seed", -1),
+                ("grid_points", 0), ("random_points", -1), ("margin", math.nan),
+                ("margin", math.inf)):
+            with pytest.raises(ValueError, match=field):
+                SamplePlan(**{field: value})
 
 
 class TestMonotone:
@@ -176,6 +179,24 @@ class TestInequalities:
             ratio = log_gamma(x + 1.5) / x - log_gamma(y + 1.5) / y
             assert ratio < 0.0
 
+    def test_every_chain_is_an_equality_at_x_equals_y(self):
+        chains = [(names, a, c) for names, _ in certify._INEQUALITIES.values()
+                  for a, c in ((0.75, 1.5), (2.0, -1.0), (3.0, 2.0))]
+        chains += [chain for _, cmp_chains in certify._COMPARISONS.values() for chain in cmp_chains]
+        for names, a, c in chains:
+            for x in (0.01, 0.7, 1.0, 13.0, 50.0):
+                values = [certify._QUANTITIES[q](a, c, x, x) for q in names]
+                assert values == pytest.approx([0.0] * len(names), abs=1e-12), (names, a, c, x)
+
+    def test_violation_witnesses_name_the_failed_link(self, monkeypatch):
+        # log Gamma -> -log Gamma flips the sign of r, which drops below its lower
+        # bound; the upper bound and the diagonal hold
+        monkeypatch.setattr(certify, "log_gamma", lambda t: -math.lgamma(t))
+        r = certify_inequality("ineq3", fam.Params(a=3.0), SMALL)
+        assert r.verdict is Verdict.VIOLATED
+        assert {w.required for w in r.witnesses} == {"h2(y) log(x/y) <= r"}
+        assert all(x < y for x, y in (w.where for w in r.witnesses))
+
     def test_ineq4_orientation(self):
         direct = certify_inequality("ineq4", fam.Params(a=0.75, c=1.5), SMALL)
         assert direct.claim_id.endswith("direct")
@@ -273,6 +294,14 @@ class TestReportsAndCatalog:
 def test_catalog_matches_expected_verdicts():
     path = pathlib.Path(__file__).parent.parent / "perfbench" / "expected_verdicts.json"
     expected = {cid: row["verdict"] for cid, row in json.loads(path.read_text()).items()}
-    got = {r.claim_id: r.verdict.value for r in run_claims("all")}
+    reports = run_claims("all")
+    got = {r.claim_id: r.verdict.value for r in reports}
     assert len(got) == 52
     assert got == expected
+    # strict, n_witnesses and min_margin of each certificate at the default plan
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
+    assert {r.claim_id for r in reports} == set(golden)
+    for r in reports:
+        d, want = r.to_dict(), golden[r.claim_id]
+        assert (d["strict"], d["n_witnesses"]) == (want["strict"], want["n_witnesses"]), r.claim_id
+        assert d["min_margin"] == pytest.approx(want["min_margin"], rel=1e-9), r.claim_id

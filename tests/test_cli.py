@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammapower
+from gammapower.certify import claim_ids
 from gammapower.cli import FN_CATALOG, main
 from gammapower.specfun import EULER_GAMMA
 
@@ -105,6 +106,13 @@ class TestEval:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("bounds", [("--x-min=nan", "--x-max=2"), ("--x-min=1", "--x-max=inf"),
+                                        ("--x-min=-1e308", "--x-max=1e308")])
+    def test_nonfinite_or_overflowing_range_exit_2(self, capsys, bounds):
+        code, out, err = run(capsys, "eval", "--fn", "psi", *bounds)
+        assert (code, out) == (2, "")
+        assert "finite" in err or "too wide" in err
+
     def test_negative_points_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "--fn", "psi", "--x-min", "1", "--x-max", "2",
                              "--points", "-3")
@@ -189,6 +197,14 @@ class TestVerify:
         assert code == 2
         assert "tol" in err
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"),
+                                             ("--seed", "-1"), ("--points", "0")])
+    def test_bad_plan_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--claim", "thm1.2.lcm", "--a", "2.5",
+                             f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert flag.lstrip("-") in err
+
     def test_override_not_taken_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "thm1.2.lcm", "--a", "2.5", "--c", "1")
         assert code == 2
@@ -246,6 +262,25 @@ class TestSweepAndConstants:
         assert err.startswith("error:")
         assert tmp_path.is_dir()
 
+    @pytest.mark.parametrize("flag", ["--a-min", "--a-max", "--x-min", "--x-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_sweep_nonfinite_bound_exit_2(self, capsys, tmp_path, flag, value):
+        dest = tmp_path / "sweep.csv"
+        bounds = {"--a-min": "1", "--a-max": "2", "--x-min": "1", "--x-max": "2", flag: value}
+        code, _, err = run(capsys, "sweep", "--fn", "psi", "--a-points", "2", "--points", "2",
+                           "--out", str(dest), *[f"{k}={v}" for k, v in bounds.items()])
+        assert code == 2
+        assert f"argument {flag}: must be a finite number" in err
+        assert not dest.exists()
+
+    def test_grid_too_wide_exit_2(self, capsys, tmp_path):
+        dest = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--fn", "psi", "--a-min=-1e308", "--a-max=1e308",
+                           "--x-min", "1", "--x-max", "2", "--out", str(dest))
+        assert code == 2
+        assert err.startswith("error:") and "too wide" in err
+        assert not dest.exists()
+
     def test_sweep_needs_n(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
         code, _, err = run(capsys, "sweep", "--fn", "delta_n", "--a-min", "1", "--a-max", "2",
@@ -298,7 +333,7 @@ def _all_finite(value) -> bool:
 
 
 class TestExitCodeProperty:
-    """main returns 0 or 2 and never raises; on 0 every printed number is finite."""
+    """main returns 0, 1 or 2 and never raises; on 0 every printed number is finite."""
 
     @pytest.mark.parametrize("fn", sorted(FN_CATALOG))
     @given(x=_ANY_FLOAT, a=_ANY_FLOAT, c=_ANY_FLOAT, n=st.integers(1, 8),
@@ -320,3 +355,28 @@ class TestExitCodeProperty:
         assert code in (0, 2)
         if code == 0:
             assert _all_finite(json.loads(out))
+
+    @given(claim=st.sampled_from(claim_ids()), a=st.none() | _ANY_FLOAT,
+           c=st.none() | _ANY_FLOAT, tol=st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "1e300",
+                                                          "5e-324"]),
+           seed=st.sampled_from(["0", "-1", str(2**70)]),
+           points=st.sampled_from(["-1", "0", "1", "2", "16"]))
+    @settings(max_examples=30, deadline=None)
+    def test_verify(self, claim, a, c, tol, seed, points):
+        overrides = [f"--{k}={v!r}" for k, v in (("a", a), ("c", c)) if v is not None]
+        code, _, _ = run_quiet("verify", "--claim", claim, *overrides, f"--tol={tol}",
+                               f"--seed={seed}", f"--points={points}")
+        assert code in (0, 1, 2)
+
+    @given(fn=st.sampled_from(sorted(FN_CATALOG)), bounds=st.lists(_ANY_FLOAT, min_size=4,
+                                                                   max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_sweep(self, tmp_path_factory, fn, bounds):
+        dest = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+        flags = ("--a-min", "--a-max", "--x-min", "--x-max")
+        code, _, _ = run_quiet("sweep", "--fn", fn, "--n=2", "--a-points=2", "--points=16",
+                               "--out", str(dest), *[f"{k}={v!r}" for k, v in zip(flags, bounds)])
+        assert code in (0, 2)
+        if code == 0:
+            rows = dest.read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
