@@ -18,6 +18,7 @@ round-trip precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -131,6 +132,7 @@ _SOLVERS: dict[str, Callable[[float], dict]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every verb and option."""
     parser = argparse.ArgumentParser(
         prog="gammapower",
         description="Evaluate, solve, and certify gamma/power combination families.",
@@ -177,6 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("constants", help="print constants and the c0 bracket")
     sub.add_parser("list-claims", help="print the claim catalog identifiers")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _run_eval(ns, out) -> int:
@@ -254,7 +262,7 @@ _VERBS = {"eval": _run_eval, "solve": _run_solve, "verify": _run_verify, "sweep"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
         if getattr(ns, "fn", None) in _TAKES_N and ns.n is None:

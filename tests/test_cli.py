@@ -318,6 +318,31 @@ class TestArgparseBehavior:
         assert main(["eval"]) == 2  # missing --fn
         assert main(["frobnicate"]) == 2
 
+    def test_one_parser_per_process(self):
+        from gammapower import cli
+
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_reused_parser_matches_fresh_processes(self, monkeypatch):
+        # different verbs, a usage error (exit 2) between successful calls, --help
+        argvs = [["solve", "--kind", "x3", "--a", "1.5"],
+                 ["eval", "--fn", "polygamma", "--x", "1"],
+                 ["eval", "--fn", "psi", "--x", "1"],
+                 ["verify", "--claim", "constants"],
+                 ["--help"],
+                 ["eval", "--fn", "h2", "--a", "1.5", "--x-min", "1", "--x-max", "2",
+                  "--points", "3"]]
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width
+        in_process = [run_quiet(*argv)[:2] for argv in argvs]
+        src = str(Path(gammapower.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        fresh = [subprocess.run([sys.executable, "-m", "gammapower.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=60)
+                 for argv in argvs]
+        assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0]
+        assert in_process == [(p.returncode, p.stdout) for p in fresh]
+
 
 # Any float, weighted towards the edges: nan, +-inf, subnormals, +-1e300, 0.
 _ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(

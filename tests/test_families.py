@@ -31,6 +31,8 @@ from gammapower.families import (
     log_g3,
     x_logderiv_g3,
 )
+from gammapower.families import _lcm_margins
+from gammapower.certify import SamplePlan
 from gammapower.specfun import DomainError, EULER_GAMMA, log_gamma
 
 import oracles
@@ -252,3 +254,77 @@ def test_h2_below_one_hypothesis(a, x):
 @settings(max_examples=40, deadline=None)
 def test_g1_positive_hypothesis(x):
     assert g1(1.5, x) > 0.0
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5])
+@pytest.mark.parametrize("x", [0.1, 0.3])
+def test_delta_n_high_order_matches_mpmath(a, x):
+    # delta_n = -log Gamma(a) + sum_{k>n} x^k zeta(k, x+a)/k (DLMF 5.15.2), with
+    # mpmath's Hurwitz zeta; every order up to MAX_ORDER is finite
+    with mpmath.workdps(30):
+        am, xm = mpmath.mpf(a), mpmath.mpf(x)
+        terms = {k: xm**k * mpmath.zeta(k, xm + am) / k for k in range(61, 220)}
+        bad = []
+        for n in range(60, 171):
+            want = -mpmath.loggamma(am) + mpmath.fsum(t for k, t in terms.items() if k > n)
+            err = float(abs((delta_n(a, n, x) - want) / want))
+            if err > 1e-14:
+                bad.append((n, err))
+    assert not bad
+
+
+# Both sides of the tail/direct switch at a in {1, 2}: x/(x+a) up to 0.82
+_SWITCH_GRID = [(a, float(x)) for a in (1.0, 2.0) for x in np.linspace(-0.45 * a, 30.0, 75)]
+
+
+def _log_g1_derivs_mpmath(a, x, orders=6):
+    """(log g1)^(n)(x), n = 1..orders, from the direct form at 40 digits."""
+    with mpmath.workdps(40):
+        am, xm = mpmath.mpf(a), mpmath.mpf(x)
+        psi = [mpmath.psi(k, xm + am) for k in range(orders)]
+        d, term, out = -mpmath.loggamma(xm + am), mpmath.mpf(1), []
+        for n in range(1, orders + 1):
+            term *= -xm / n
+            d -= term * psi[n - 1]
+            out.append((-1) ** n * mpmath.factorial(n) * d / xm ** (n + 1))
+        return out
+
+
+def test_log_g1_deriv_across_the_switch_matches_mpmath():
+    bad = []
+    for a in (1.0, 2.0):
+        xs = np.array([x for b, x in _SWITCH_GRID if b == a])
+        margins = _lcm_margins(a, xs, 6)
+        for i, x in enumerate(xs.tolist()):
+            for n, want in enumerate(_log_g1_derivs_mpmath(a, x), start=1):
+                for got in (log_g1_deriv(a, n, x), (-1) ** n * margins[i, n - 1]):
+                    err = float(abs((got - want) / want))
+                    if err > 2e-13:
+                        bad.append((a, n, x, err))
+    assert not bad
+
+
+# The catalog's LCM rows: (a, interval); intervals reaching below 0 add x = 0.
+_LCM_ROWS = [(1.0, (1e-2, 30.0)), (1.5, (1e-2, 30.0)), (2.0, (1e-2, 30.0)),
+             (1.0, (-0.99, 30.0)), (2.0, (-1.99, 30.0)), (0.5, (1e-2, 30.0)),
+             (2.5, (1e-2, 30.0))]
+
+
+@pytest.mark.parametrize("a, interval", _LCM_ROWS)
+def test_lcm_margins_match_scalar_log_g1_deriv(a, interval):
+    x = SamplePlan(interval=interval, grid_points=96, random_points=32).points()
+    if interval[0] < 0.0:
+        x = np.append(x, 0.0)
+    got = _lcm_margins(a, x, 6)
+    assert got.shape == (x.size, 6)
+    want = np.array([[(-1) ** n * log_g1_deriv(a, n, p) for n in range(1, 7)] for p in x.tolist()])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("a, x, order", [
+    (1.5, [0.5, -1.5], 6), (1.5, [0.5, math.nan], 6), (1.5, [0.5, 0.0], 6),
+    (1.0, [0.5], 0), (1.0, [0.5], 171),
+], ids=["x<=-a", "nan", "x=0 at a=1.5", "order 0", "order 171"])
+def test_lcm_margins_domain_error(a, x, order):
+    with pytest.raises(DomainError):
+        _lcm_margins(a, np.array(x), order)

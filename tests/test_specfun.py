@@ -207,3 +207,44 @@ def test_polygamma_recurrence_hypothesis(x, n):
     # tolerance by the magnitude that cancels
     scale = max(1.0, abs(polygamma(n, x)))
     assert abs(got - want) <= 1e-12 * scale
+
+
+class TestArrayPath:
+    """An ndarray x takes the array path; a float keeps the scalar loop."""
+
+    GRID = np.geomspace(1e-3, 1e3, 200)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_matches_scalar_and_mpmath(self, n):
+        fn = digamma if n == 0 else (lambda x: polygamma(n, x))
+        got = fn(self.GRID)
+        assert isinstance(got, np.ndarray) and got.shape == self.GRID.shape
+        scalar = np.array([fn(x) for x in self.GRID.tolist()])
+        # psi crosses 0 at 1.46..., so its error is measured against max(1, |psi|)
+        scale = np.maximum(np.abs(scalar), 1.0) if n == 0 else np.abs(scalar)
+        assert np.max(np.abs(got - scalar) / scale) <= 1e-15
+        with mpmath.workdps(40):
+            want = [mpmath.psi(n, x) for x in self.GRID.tolist()]
+        errs = [float(abs(mpmath.mpf(g) - w) / max(abs(w), 1 if n == 0 else 0))
+                for g, w in zip(got.tolist(), want)]
+        assert max(errs) <= 1e-14
+
+    def test_shape_and_log_gamma(self):
+        x = self.GRID.reshape(20, 10)
+        assert digamma(x).shape == polygamma(3, x).shape == log_gamma(x).shape == (20, 10)
+        assert log_gamma(x).ravel().tolist() == [math.lgamma(v) for v in x.ravel().tolist()]
+        assert type(digamma(2.0)) is float and type(polygamma(2, 2.0)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+    @pytest.mark.parametrize("fn", [log_gamma, digamma, lambda x: polygamma(3, x)],
+                             ids=["log_gamma", "digamma", "polygamma"])
+    def test_domain_error(self, fn, bad):
+        with pytest.raises(DomainError):
+            fn(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("fn, x", [
+        (log_gamma, 1.7e308), (digamma, 5e-324), (lambda x: polygamma(63, x), 1e-4),
+    ], ids=["log_gamma(1.7e308)", "digamma(5e-324)", "polygamma(63,1e-4)"])
+    def test_overflow_error(self, fn, x):
+        with pytest.raises(OverflowError):
+            fn(np.array([1.0, x]))
