@@ -23,16 +23,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, PI, ZETA3, log_gamma
+from .specfun import EULER_GAMMA, MAX_ORDER, PI, ZETA3, log_gamma
 from . import families as fam
 from . import critical
 
 __all__ = [
     "Region", "RegionError", "classify", "SamplePlan", "Verdict", "Witness", "ClaimReport",
     "C0_BRACKET", "certify_monotone", "certify_lcm", "certify_logconvex", "certify_geoconvex",
-    "certify_geoconvex_piecewise", "certify_inequality", "certify_comparisons",
-    "certify_constants", "certify_range", "segments", "expect_violation", "claim_ids",
-    "run_claims",
+    "certify_inequality", "certify_comparisons", "certify_constants", "certify_range",
+    "segments", "expect_violation", "claim_ids", "run_claims",
 ]
 
 _PSI1_2 = math.pi**2 / 6.0 - 1.0
@@ -254,31 +253,39 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
 _DIRECTION_SIGN = {"increasing": 1.0, "decreasing": -1.0}
 
 
-def _monotone(fn: Callable[[float], float], plan: SamplePlan, direction: str,
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _monotone(fn: ArrayFn, plan: SamplePlan, direction: str,
               excluded: Sequence[float] = ()) -> Block:
     """Consecutive sample pairs and the signed differences of fn across them."""
     x = plan.points(excluded)
-    diff = np.diff(np.array([fn(p) for p in x.tolist()], dtype=float))
+    diff = np.diff(np.asarray(fn(x), dtype=float))
     return np.column_stack([x[:-1], x[1:]]), _DIRECTION_SIGN[direction] * diff, direction
 
 
-def certify_monotone(fn: Callable[[float], float], plan: SamplePlan, direction: str,
+def certify_monotone(fn: ArrayFn, plan: SamplePlan, direction: str,
                      excluded: Sequence[float] = (), claim_id: str = "monotone",
                      params: fam.Params = fam.Params(a=math.nan)) -> ClaimReport:
-    """Certify fn increasing/decreasing on the plan's sorted sample points."""
+    """Certify fn increasing/decreasing on the plan's sorted sample points.
+
+    fn maps the ndarray of sample points to the ndarray of its values.
+    """
     if direction not in _DIRECTION_SIGN:
         raise ValueError(f"unknown direction {direction!r}")
     return _check(claim_id, params, plan, lambda: [_monotone(fn, plan, direction, excluded)])
 
 
-def segments(claim_id: str, params: fam.Params, plan: SamplePlan, fn: Callable[[float], float],
+def segments(claim_id: str, params: fam.Params, plan: SamplePlan, fn: ArrayFn,
              pieces: Sequence[tuple[tuple[float, float], str]], excluded: Sequence[float] = (),
              note: str | None = None) -> ClaimReport:
     """Certify fn monotone on each ((lo, hi), direction) piece, as one report.
 
-    Each piece is sampled on its own interval with an equal share of the
-    plan's grid (at least 16) and random points; a piece narrower than four
-    margins is skipped.  The note defaults to the number of pieces checked.
+    fn maps an ndarray of points to the ndarray of its values, and is called
+    once per piece.  Each piece is sampled on its own interval with an equal
+    share of the plan's grid (at least 16) and random points; a piece
+    narrower than four margins is skipped.  The note defaults to the number
+    of pieces checked.
     """
     k = len(pieces)
     kept = [(replace(plan, interval=iv, grid_points=max(plan.grid_points // k, 16),
@@ -297,8 +304,8 @@ def certify_lcm(a: float, max_order: int, plan: SamplePlan,
     order at every point comes from one array pass (families._lcm_margins);
     witnesses are listed by point, then order, with where = (x, n).
     """
-    if max_order > 8:
-        raise ValueError("max_order above 8 exceeds the polygamma accuracy budget")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must lie in 1..{MAX_ORDER}, got {max_order}")
     lo, hi = plan.interval
 
     def blocks() -> list[Block]:
@@ -321,13 +328,12 @@ def certify_logconvex(a: float, c: float, plan: SamplePlan, sense: str,
 
     def blocks() -> list[Block]:
         x = plan.points()
-        h3 = np.array([fam.h3(a, p) for p in x.tolist()], dtype=float)
-        return [(x[:, None], flip * (c - h3) / (x * x), f"(log g2)'' sign for {sense}")]
+        return [(x[:, None], flip * (c - fam.h3(a, x)) / (x * x), f"(log g2)'' sign for {sense}")]
 
     return _check(claim_id or f"logconvex.{sense}", fam.Params(a=a, c=c), plan, blocks)
 
 
-def _geo_slope(family: str, a: float, c: float) -> Callable[[float], float]:
+def _geo_slope(family: str, a: float, c: float) -> ArrayFn:
     if family == "g2":
         return lambda x: fam.h2(a, x) - c
     if family == "g3":
@@ -343,41 +349,31 @@ def certify_geoconvex(family: str, a: float, c: float, plan: SamplePlan, sense: 
         claim_id=claim_id or f"geoconvex.{family}.{sense}", params=fam.Params(a=a, c=c))
 
 
-def certify_geoconvex_piecewise(family: str, a: float, c: float, plan: SamplePlan,
-                                claim_id: str | None = None) -> ClaimReport:
-    """Concave on (0, x3), convex on (x3, inf), split at the solved x3."""
-    x3 = critical.find_x3(a).value
-    (lo, hi), m = plan.interval, plan.margin
-    return segments(claim_id or f"geoconvex.{family}.piecewise", fam.Params(a=a, c=c), plan,
-                    _geo_slope(family, a, c),
-                    [((lo, x3 - m), "decreasing"), ((x3 + m, hi), "increasing")],
-                    note=f"split at x3={x3!r}")
-
-
 # --- corollary inequalities and comparisons ---------------------------------
 
-def _lg_over(a: float, x: float) -> float:
+def _lg_over(a: float, x: np.ndarray) -> np.ndarray:
     return log_gamma(x + a) / x
 
 
-# Name -> f(a, c, x, y): the log-domain quantities at a pair 0 < x < y that the
-# corollary inequalities and the comparison remarks order.  r is the log of
+# Name -> f(a, c, x, y): the log-domain quantities at pairs 0 < x < y that the
+# corollary inequalities and the comparison remarks order, for ndarrays x and
+# y of the pairs' two columns.  r is the log of
 # (Gamma(x+a))^(1/x) / (Gamma(y+a))^(1/y), m that of Gamma(A+a)^(1/A) over the
 # geometric mean of the two family values, with A = (x+y)/2 and G = sqrt(xy).
 # Every quantity vanishes at x = y.
-_QUANTITIES: dict[str, Callable[[float, float, float, float], float]] = {
+_QUANTITIES: dict[str, Callable[[float, float, np.ndarray, np.ndarray], np.ndarray]] = {
     "r": lambda a, c, x, y: _lg_over(a, x) - _lg_over(a, y),
     "m": lambda a, c, x, y: _lg_over(a, 0.5 * (x + y)) - 0.5 * (_lg_over(a, x) + _lg_over(a, y)),
-    "0": lambda a, c, x, y: 0.0,
-    "c log(x/y)": lambda a, c, x, y: c * math.log(x / y),
-    "c log(A/G)": lambda a, c, x, y: c * math.log(0.5 * (x + y) / math.sqrt(x * y)),
-    "c log((x+a)/(y+a))": lambda a, c, x, y: c * math.log((x + a) / (y + a)),
-    "h2(y) log(x/y)": lambda a, c, x, y: fam.h2(a, y) * math.log(x / y),
-    "h2(x) log(x/y)": lambda a, c, x, y: fam.h2(a, x) * math.log(x / y),
-    "g3 lower bound": lambda a, c, x, y: ((fam.h2(a, y) - c * y / (y + a)) * math.log(x / y)
-                                          + c * math.log((x + a) / (y + a))),
-    "g3 upper bound": lambda a, c, x, y: ((fam.h2(a, x) - c * x / (x + a)) * math.log(x / y)
-                                          + c * math.log((x + a) / (y + a))),
+    "0": lambda a, c, x, y: 0.0 * x,
+    "c log(x/y)": lambda a, c, x, y: c * np.log(x / y),
+    "c log(A/G)": lambda a, c, x, y: c * np.log(0.5 * (x + y) / np.sqrt(x * y)),
+    "c log((x+a)/(y+a))": lambda a, c, x, y: c * np.log((x + a) / (y + a)),
+    "h2(y) log(x/y)": lambda a, c, x, y: fam.h2(a, y) * np.log(x / y),
+    "h2(x) log(x/y)": lambda a, c, x, y: fam.h2(a, x) * np.log(x / y),
+    "g3 lower bound": lambda a, c, x, y: ((fam.h2(a, y) - c * y / (y + a)) * np.log(x / y)
+                                          + c * np.log((x + a) / (y + a))),
+    "g3 upper bound": lambda a, c, x, y: ((fam.h2(a, x) - c * x / (x + a)) * np.log(x / y)
+                                          + c * np.log((x + a) / (y + a))),
 }
 
 # Diagonal pairs whose chain spreads by more than this (as a ratio) break equality.
@@ -392,12 +388,11 @@ def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float
     x = y, and their witnesses follow the others.
     """
     p = np.sort(plan.pairs(), axis=1)
-    apart, diag = np.abs(p[:, 0] - p[:, 1]) > plan.tol, p[:, 0] == p[:, 1]
+    x, y = p[:, 0], p[:, 1]
+    apart, diag = np.abs(x - y) > plan.tol, x == y
     out: list[Block] = []
     for names, a, c in chains:
-        fns = [_QUANTITIES[q] for q in names]
-        v = np.array([f(a, c, x, y) for x, y in p.tolist() for f in fns], dtype=float)
-        steps = np.diff(v.reshape(len(p), len(fns)), axis=1)
+        steps = np.diff(np.column_stack([_QUANTITIES[q](a, c, x, y) for q in names]), axis=1)
         gap = np.abs(np.expm1(np.abs(steps).max(axis=1)))
         broken = diag & (gap > _EQUALITY_TOL)
         out += [(p[apart], steps[apart], [f"{lo} <= {hi}" for lo, hi in zip(names, names[1:])]),
@@ -468,16 +463,19 @@ def certify_constants(plan: SamplePlan = DEFAULT_PLAN,
     ], f"lower={lower!r} upper={upper!r}")
 
 
-def certify_range(fn: Callable[[float], float], plan: SamplePlan, lower: float = -math.inf,
+def certify_range(fn: ArrayFn, plan: SamplePlan, lower: float = -math.inf,
                   upper: float = math.inf, claim_id: str = "range",
                   params: fam.Params = fam.Params(a=math.nan)) -> ClaimReport:
-    """Certify fn(x) in the open interval (lower, upper) on the plan."""
+    """Certify fn(x) in the open interval (lower, upper) on the plan.
+
+    fn maps the ndarray of sample points to the ndarray of its values.
+    """
     finite = [not math.isinf(lower), not math.isinf(upper)]
     labels = [s for s, f in zip((f"value > {lower}", f"value < {upper}"), finite) if f]
 
     def blocks() -> list[Block]:
         x = plan.points()
-        v = np.array([fn(p) for p in x.tolist()], dtype=float)
+        v = np.asarray(fn(x), dtype=float)
         return [(x[:, None], np.column_stack([v - lower, upper - v])[:, finite], labels)]
 
     return _check(claim_id, params, plan, blocks)
@@ -546,6 +544,13 @@ def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
         return lambda plan, claim_id, a, lower, upper: certify_range(
             lambda x: h(a, x), plan, lower, upper, claim_id, fam.Params(a=a))
 
+    def split_at_x3(plan, claim_id, a, c):
+        """g2 geometrically concave on (0, x3) and convex on (x3, inf)."""
+        x3, (lo, hi), m = critical.find_x3(a).value, plan.interval, plan.margin
+        return segments(claim_id, fam.Params(a, c), plan, _geo_slope("g2", a, c),
+                        [((lo, x3 - m), "decreasing"), ((x3 + m, hi), "increasing")],
+                        note=f"split at x3={x3!r}")
+
     lcm, g2, g3 = dict(max_order=6, interval=(1e-2, 30.0)), mono(fam.log_g2), mono(fam.log_g3)
     inc, dec = "increasing", "decreasing"
     return [
@@ -572,8 +577,7 @@ def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
          dict(a=2.0, c=0.5, sense="convex")),
         *[("thm2.3.geoconvex", "thm2.3.geoconvex.a={a:g}.c={c:g}", certify_geoconvex,
            dict(family="g2", a=a, c=c, sense="convex")) for a, c in ((0.75, -3.0), (3.0, 1.0))],
-        ("thm2.3.geoconvex", "thm2.3.piecewise.a={a:g}.c={c:g}", certify_geoconvex_piecewise,
-         dict(family="g2", a=1.5, c=0.0)),
+        ("thm2.3.geoconvex", "thm2.3.piecewise.a={a:g}.c={c:g}", split_at_x3, dict(a=1.5, c=0.0)),
         ("thm3.1.mono", "thm3.1.dec.a={a:g}.c={c:g}", g3, dict(a=3.0, c=1.0, direction=dec)),
         ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr", g3, dict(a=2.0, c=_PSI1_2, direction=inc)),
         ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr-0.01", g3,

@@ -1,5 +1,6 @@
 """Tests for region classification and the certification engine."""
 
+import collections
 import json
 import math
 import pathlib
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from gammapower import certify
+from gammapower import critical
 from gammapower import families as fam
 from gammapower.critical import threshold_g3_increasing
+from gammapower.specfun import log_gamma
 from gammapower.certify import (
     Region,
     RegionError,
@@ -74,12 +77,12 @@ class TestSamplePlan:
 
 class TestMonotone:
     def test_increasing_certified(self):
-        r = certify_monotone(math.log, SMALL, "increasing")
+        r = certify_monotone(np.log, SMALL, "increasing")
         assert r.verdict is Verdict.CERTIFIED
         assert r.strict
 
     def test_violation_witnessed(self):
-        r = certify_monotone(math.cos, SamplePlan(interval=(0.1, 6.0)), "increasing")
+        r = certify_monotone(np.cos, SamplePlan(interval=(0.1, 6.0)), "increasing")
         assert r.verdict is Verdict.VIOLATED
         assert r.witnesses
 
@@ -93,7 +96,7 @@ class TestMonotone:
 
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
-            certify_monotone(math.log, SMALL, "sideways")
+            certify_monotone(np.log, SMALL, "sideways")
 
     def test_no_margin_is_not_certified(self):
         # one sample point leaves no consecutive pair to compare
@@ -103,14 +106,14 @@ class TestMonotone:
         assert r.strict is None
 
     def test_nan_margin_is_not_certified(self):
-        r = certify_range(lambda x: math.nan, SamplePlan(grid_points=64, random_points=0),
-                          0.0, 1.0)
+        r = certify_range(lambda x: np.full_like(x, math.nan),
+                          SamplePlan(grid_points=64, random_points=0), 0.0, 1.0)
         assert r.verdict is Verdict.INCONCLUSIVE
         assert "non-finite" in r.note
 
     def test_segments_all_skipped_not_certified(self):
         pieces = [((1.0, 1.001), "increasing"), ((2.0, 2.002), "decreasing")]
-        r = segments("seg", fam.Params(a=1.0), SMALL, math.log, pieces)
+        r = segments("seg", fam.Params(a=1.0), SMALL, np.log, pieces)
         assert r.verdict is Verdict.INCONCLUSIVE
         assert r.note == "no margin was checked"
 
@@ -136,6 +139,15 @@ class TestTheoremClaims:
         assert dec.verdict is Verdict.CERTIFIED
         convex = certify_monotone(lambda x: fam.log_g1_deriv(1.5, 1, x), plan, "increasing")
         assert convex.verdict is Verdict.CERTIFIED
+
+    def test_lcm_orders_up_to_max_order(self):
+        # every order of a grid comes from one array pass, so orders past the
+        # catalog's 6 certify too; the smallest margin at order 12 is ~3e-11
+        r = certify_lcm(1.5, 12, SamplePlan(interval=(1e-2, 30.0)))
+        assert r.verdict is Verdict.CERTIFIED, r.min_margin
+        for order in (0, 171):
+            with pytest.raises(ValueError, match="max_order"):
+                certify_lcm(1.5, order, SMALL)
 
     def test_logconvex(self):
         assert certify_logconvex(3.0, 1.0, SMALL, "convex").verdict is Verdict.CERTIFIED
@@ -191,7 +203,7 @@ class TestInequalities:
     def test_violation_witnesses_name_the_failed_link(self, monkeypatch):
         # log Gamma -> -log Gamma flips the sign of r, which drops below its lower
         # bound; the upper bound and the diagonal hold
-        monkeypatch.setattr(certify, "log_gamma", lambda t: -math.lgamma(t))
+        monkeypatch.setattr(certify, "log_gamma", lambda t: -log_gamma(t))
         r = certify_inequality("ineq3", fam.Params(a=3.0), SMALL)
         assert r.verdict is Verdict.VIOLATED
         assert {w.required for w in r.witnesses} == {"h2(y) log(x/y) <= r"}
@@ -220,10 +232,10 @@ class TestReportsAndCatalog:
         }
 
     def test_expect_violation_wrapper(self):
-        violated = certify_monotone(math.cos, SamplePlan(interval=(0.1, 6.0)), "increasing")
+        violated = certify_monotone(np.cos, SamplePlan(interval=(0.1, 6.0)), "increasing")
         wrapped = expect_violation(violated, "onlyif.test")
         assert wrapped.verdict is Verdict.CERTIFIED
-        clean = certify_monotone(math.log, SMALL, "increasing")
+        clean = certify_monotone(np.log, SMALL, "increasing")
         wrapped2 = expect_violation(clean, "onlyif.test2")
         assert wrapped2.verdict is Verdict.INCONCLUSIVE
 
@@ -305,3 +317,18 @@ def test_catalog_matches_expected_verdicts():
         d, want = r.to_dict(), golden[r.claim_id]
         assert (d["strict"], d["n_witnesses"]) == (want["strict"], want["n_witnesses"]), r.claim_id
         assert d["min_margin"] == pytest.approx(want["min_margin"], rel=1e-9), r.claim_id
+
+
+def test_catalog_evaluates_whole_grids(monkeypatch):
+    # every check evaluates its sample plan in a few array calls: a per-point
+    # loop would make tens of thousands of special-function calls here
+    calls = []
+    for module in (fam, certify, critical):
+        for name in ("log_gamma", "digamma", "polygamma"):
+            if hasattr(module, name):
+                def counted(*args, _f=getattr(module, name), _n=name):
+                    calls.append(_n)
+                    return _f(*args)
+                monkeypatch.setattr(module, name, counted)
+    assert len(run_claims("all")) == 52
+    assert 0 < len(calls) < 2000, collections.Counter(calls)
