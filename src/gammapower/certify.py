@@ -393,7 +393,8 @@ def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float
     out: list[Block] = []
     for names, a, c in chains:
         steps = np.diff(np.column_stack([_QUANTITIES[q](a, c, x, y) for q in names]), axis=1)
-        gap = np.abs(np.expm1(np.abs(steps).max(axis=1)))
+        with np.errstate(over="ignore"):  # a far pair's gap is inf; only diagonal ones count
+            gap = np.abs(np.expm1(np.abs(steps).max(axis=1)))
         broken = diag & (gap > _EQUALITY_TOL)
         out += [(p[apart], steps[apart], [f"{lo} <= {hi}" for lo, hi in zip(names, names[1:])]),
                 (p[broken], -gap[broken], "equality at x = y")]

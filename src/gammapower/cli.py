@@ -47,7 +47,7 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-# name -> callable(args, x)
+# name -> callable(args, x), for a float x or an ndarray of x
 FN_CATALOG: dict[str, Callable] = {
     "gamma_log": lambda ns, x: log_gamma(x),
     "psi": lambda ns, x: digamma(x),
@@ -79,11 +79,12 @@ def _params(ns) -> fam.Params:
     return fam.Params(a=ns.a, c=ns.c, sign=sign)
 
 
-def _value(ns, x: float) -> float:
-    """FN_CATALOG[ns.fn] at x; a non-finite value is a domain error."""
+def _value(ns, x):
+    """FN_CATALOG[ns.fn] at x, a float or an ndarray; a non-finite value is a domain error."""
     v = FN_CATALOG[ns.fn](ns, x)
-    if not math.isfinite(v):
-        raise DomainError(f"{ns.fn} is not finite at x={x!r}: {v}")
+    bad = np.ravel(x)[~np.isfinite(np.ravel(v))]
+    if bad.size:
+        raise DomainError(f"{ns.fn} is not finite at x={bad[0]}")
     return v
 
 
@@ -192,7 +193,8 @@ def _run_eval(ns, out) -> int:
         text = _fmt(_value(ns, ns.x)) + "\n"
     else:
         xs = _grid(ns.x_min, ns.x_max, ns.points)
-        text = "x,value\n" + "".join(f"{_fmt(x)},{_fmt(_value(ns, x))}\n" for x in xs)
+        vs = _value(ns, np.array(xs)).tolist()
+        text = "x,value\n" + "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, vs))
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text)

@@ -54,7 +54,12 @@ class PreconditionError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """No sign change found within the probe range."""
+    """No sign change up to the last probe `probe`; f kept the sign `sign` (+-1.0)."""
+
+    def __init__(self, lo: float, probe: float, value: float):
+        self.probe, self.sign = probe, math.copysign(1.0, value)
+        super().__init__(f"no sign change of target function on ({lo}, {probe}]: "
+                         f"it kept sign {self.sign:+.0f} up to the last probe t={probe!r}")
 
 
 class CriticalKind(Enum):
@@ -87,7 +92,7 @@ def _bisect_secant(f: Callable[[float], float], lo: float, hi: float) -> float:
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]")
+        raise BracketError(lo, hi, fhi)
     for it in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         # secant proposal on odd iterations only; unconditional bisection on
@@ -120,7 +125,7 @@ def _expand_bracket(f: Callable[[float], float], left: float) -> tuple[float, fl
         if fx == 0.0 or (fx > 0.0) != (f_prev > 0.0):
             return (x_prev, x)
         x_prev, f_prev = x, fx
-    raise BracketError(f"no sign change of target function on ({left}, {left + _OFFSET_CAP})")
+    raise BracketError(left, x_prev, f_prev)
 
 
 def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],

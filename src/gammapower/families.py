@@ -24,15 +24,14 @@ projections to closed form:
 h21, h31, h41 and h41' are the shifted-argument numerators whose sign
 changes locate the critical points solved in :mod:`gammapower.critical`.
 
-All evaluations go through log space; overflow of the final exp raises
-OverflowError rather than saturating, and so does an exponent that is +inf
-or nan.  Derivative and series orders n run over 1..MAX_ORDER.
+All evaluations go through log space.  Derivative and series orders n run
+over 1..MAX_ORDER.  Every public function takes a float x, giving a float,
+or an ndarray of x, giving an ndarray of its shape, from one body: only the
+private helpers test `type(x) is float` (first, as specfun does).
 
-Array in, array out: log_g1, log_g2, log_g3, h2, h3, h4, x_logderiv_g3 and
-log_g1_deriv also take an ndarray of x and return an ndarray of its shape,
-from array calls into specfun; an array with any entry outside the domain
-raises DomainError.  A float keeps the scalar path: the dispatch tests
-`type(x) is float` first, as specfun does.
+Every public function is total: a non-finite a or x, or an x outside the
+domain, raises DomainError, and a value that is not finite OverflowError.
+An array raises if any entry would.
 
 delta_n near x = 0 is summed in its factorial-free tail form
 
@@ -99,48 +98,105 @@ class Params:
     sign: Sign = Sign.PLUS
 
 
-def _exp_checked(v: float) -> float:
-    """exp(v); an exponent that overflows, +inf or nan raises OverflowError."""
-    if v < math.inf:
-        try:
-            return math.exp(v)
-        except OverflowError:
-            pass
+def _total(fn):
+    """fn(..., x), where a value that is not finite raises OverflowError.
+
+    An ndarray x is computed under np.errstate, so that an overflow reaches
+    this check and not stderr; a float division by an underflowed 0 is inf.
+    """
+    @functools.wraps(fn)
+    def total(*args):
+        x = args[-1]
+        if type(x) is float or not isinstance(x, np.ndarray):
+            try:
+                v = fn(*args)
+            except ZeroDivisionError:
+                v = math.inf
+            if -math.inf < v < math.inf:
+                return v
+        else:
+            with np.errstate(all="ignore"):
+                v = fn(*args)
+            bad = ~np.isfinite(v)
+            if not bad.any():
+                return v
+            x, v = x[bad][0], v[bad][0]
+        raise OverflowError(f"{fn.__name__} is not finite at x={x!r}: {v}")
+    return total
+
+
+def _require(name: str, a: float, x, lo: float, zero: bool = True,
+             a_lo: float = -math.inf) -> None:
+    """DomainError unless a lies in (a_lo, inf) and x in (lo, inf), less 0 unless `zero`.
+
+    x is a float or an ndarray, every entry of which must lie there; nan
+    lies nowhere.  The message is formatted only when it raises.
+    """
+    if not a_lo < a < math.inf:
+        raise DomainError(f"{name} requires a in ({a_lo}, inf), got a={a}")
+    if type(x) is float or not isinstance(x, np.ndarray):
+        if lo < x < math.inf and (zero or x != 0.0):
+            return
+    else:
+        bad = ~((x > lo) & (x < math.inf) & (zero | (x != 0.0)))
+        if not bad.any():
+            return
+        x = x[bad][0]
+    raise DomainError(f"{name} requires x in ({lo}, inf){'' if zero else ' less 0'}, got x={x}")
+
+
+def _exp(v):
+    """exp of a float or an ndarray; a value that overflows, +inf or nan raises OverflowError."""
+    if type(v) is float or not isinstance(v, np.ndarray):
+        if v < math.inf:
+            try:
+                return math.exp(v)
+            except OverflowError:
+                pass
+    else:
+        with np.errstate(all="ignore"):
+            e = np.exp(v)
+        bad = ~np.isfinite(e)
+        if not bad.any():
+            return e
+        v = v[bad][0]
     raise OverflowError(f"family value overflows: exp({v})")
 
 
-def _check_family_domain(a: float, x: float) -> None:
-    if x <= -a:
-        raise DomainError(f"x must exceed -a = {-a}, got {x}")
-    if x == 0.0:
-        raise DomainError("x = 0 is outside the family domain")
+def _log(x):
+    """log of a float or an ndarray."""
+    return math.log(x) if type(x) is float or not isinstance(x, np.ndarray) else np.log(x)
 
 
-def f_family(p: Params, x: float) -> float:
-    """((Gamma(x+a))^(1/x) / x^c)^(+-1)."""
-    _check_family_domain(p.a, x)
-    if p.c != 0.0 and x < 0.0:
-        raise DomainError("x must be positive when c != 0 (real power of x)")
-    v = log_gamma(x + p.a) / x - p.c * math.log(x) if p.c != 0.0 else log_gamma(x + p.a) / x
-    if p.sign is Sign.MINUS:
-        v = -v
-    return _exp_checked(v)
+def _split(x, inner, f_in, f_out):
+    """f_in(x) where `inner` holds and f_out(x) elsewhere, as a float or an ndarray.
+
+    `inner` is a bool for a float x and a bool array for an ndarray x; each
+    function sees only its own entries, and one with none is not called.
+    """
+    if type(x) is float or not isinstance(x, np.ndarray):
+        return float(f_in(x) if inner else f_out(x))
+    v = np.empty(x.shape)
+    for rows, f in ((inner, f_in), (~inner, f_out)):
+        if rows.any():
+            v[rows] = f(x[rows])
+    return v
 
 
-def g_family(p: Params, x: float) -> float:
+@_total
+def f_family(p: Params, x):
+    """((Gamma(x+a))^(1/x) / x^c)^(+-1); x > 0 when c != 0 (real power of x)."""
+    _require("f", p.a, x, -p.a if p.c == 0.0 else max(-p.a, 0.0), zero=False)
+    v = log_gamma(x + p.a) / x - p.c * _log(x) if p.c != 0.0 else log_gamma(x + p.a) / x
+    return _exp(-v if p.sign is Sign.MINUS else v)
+
+
+@_total
+def g_family(p: Params, x):
     """((Gamma(x+a))^(1/x) / (x+a)^c)^(+-1)."""
-    _check_family_domain(p.a, x)
-    v = log_gamma(x + p.a) / x - p.c * math.log(x + p.a)
-    if p.sign is Sign.MINUS:
-        v = -v
-    return _exp_checked(v)
-
-
-def _require_above(x: np.ndarray, lo: float, what: str) -> None:
-    """DomainError naming the first entry of x that is not above lo (nan included)."""
-    bad = x[~(x > lo)]
-    if bad.size:
-        raise DomainError(f"{what}, got {bad[0]}")
+    _require("g", p.a, x, -p.a, zero=False)
+    v = log_gamma(x + p.a) / x - p.c * _log(x + p.a)
+    return _exp(-v if p.sign is Sign.MINUS else v)
 
 
 @functools.cache
@@ -164,6 +220,7 @@ def _log_g1_near_zero(a: float, x):
     return v
 
 
+@_total
 def log_g1(a: float, x):
     """log of g1(x) = 1/(Gamma(x+a))^(1/x), with the removable point at 0.
 
@@ -173,104 +230,88 @@ def log_g1(a: float, x):
     takes the power series of :func:`_log_g1_series`.
     """
     special = a in (1.0, 2.0)
-    if type(x) is not float and isinstance(x, np.ndarray):
-        _require_above(x, -a, f"x must exceed -a = {-a}")
-        near = abs(x) <= _SERIES_RADIUS if special else x == 0.0
-        v = np.empty(x.shape)
-        if near.any():
-            if not special:
-                raise DomainError("g1(0) is only defined for a = 1 or a = 2")
-            v[near] = _log_g1_near_zero(a, x[near])
-        v[~near] = -log_gamma(x[~near] + a) / x[~near]
-        return v
-    if special and abs(x) <= _SERIES_RADIUS:
-        return _log_g1_near_zero(a, x)
-    if x <= -a:
-        raise DomainError(f"x must exceed -a = {-a}, got {x}")
-    if x == 0.0:
-        raise DomainError("g1(0) is only defined for a = 1 or a = 2")
-    return -log_gamma(x + a) / x
+    _require("log_g1", a, x, -a, zero=special)
+    if not special:
+        return -log_gamma(x + a) / x
+    return _split(x, abs(x) <= _SERIES_RADIUS, lambda t: _log_g1_near_zero(a, t),
+                  lambda t: -log_gamma(t + a) / t)
 
 
-def g1(a: float, x: float) -> float:
+def g1(a: float, x):
     """g1(x) = 1/(Gamma(x+a))^(1/x); see :func:`log_g1` for the domain."""
-    return _exp_checked(log_g1(a, x))
+    return _exp(log_g1(a, x))
 
 
-def _check_positive_pair(a: float, x, name: str) -> None:
-    if a <= 0.0:
-        raise DomainError(f"{name} requires a > 0, got a={a}")
-    if type(x) is not float and isinstance(x, np.ndarray):
-        _require_above(x, 0.0, f"{name} requires x > 0")
-    elif x <= 0.0:
-        raise DomainError(f"{name} requires x > 0, got x={x}")
-
-
+@_total
 def log_g2(a: float, c: float, x):
     """log g2(x) on (0, inf)."""
-    _check_positive_pair(a, x, "g2")
-    return log_gamma(x + a) / x - c * (math.log(x) if type(x) is float else np.log(x))
+    _require("g2", a, x, 0.0, a_lo=0.0)
+    return log_gamma(x + a) / x - c * _log(x)
 
 
-def g2(a: float, c: float, x: float) -> float:
+def g2(a: float, c: float, x):
     """g2(x) = (Gamma(x+a))^(1/x) / x^c on (0, inf)."""
-    return _exp_checked(log_g2(a, c, x))
+    return _exp(log_g2(a, c, x))
 
 
+@_total
 def log_g3(a: float, c: float, x):
     """log g3(x) on (0, inf)."""
-    _check_positive_pair(a, x, "g3")
-    return log_gamma(x + a) / x - c * (math.log(x + a) if type(x) is float else np.log(x + a))
+    _require("g3", a, x, 0.0, a_lo=0.0)
+    return log_gamma(x + a) / x - c * _log(x + a)
 
 
-def g3(a: float, c: float, x: float) -> float:
+def g3(a: float, c: float, x):
     """g3(x) = (Gamma(x+a))^(1/x) / (x+a)^c on (0, inf)."""
-    return _exp_checked(log_g3(a, c, x))
+    return _exp(log_g3(a, c, x))
 
 
-def h1(a: float, x: float) -> float:
+@_total
+def h1(a: float, x):
     """-x psi(x+a) + log Gamma(x+a); equals x^2 (log g1)'(x)."""
-    if x <= -a:
-        raise DomainError(f"x must exceed -a = {-a}, got {x}")
+    _require("h1", a, x, -a)
     return -x * digamma(x + a) + log_gamma(x + a)
 
 
+@_total
 def h2(a: float, x):
     """(x psi(x+a) - log Gamma(x+a)) / x; equals x (log g2)' + c."""
-    _check_positive_pair(a, x, "h2")
+    _require("h2", a, x, 0.0, a_lo=0.0)
     return digamma(x + a) - log_gamma(x + a) / x
 
 
+@_total
 def h3(a: float, x):
     """(-x^2 psi'(x+a) + 2x psi(x+a) - 2 log Gamma(x+a)) / x.
 
     Satisfies (log g2)'' = (c - h3(x)) / x^2.
     """
-    _check_positive_pair(a, x, "h3")
+    _require("h3", a, x, 0.0, a_lo=0.0)
     return -x * polygamma(1, x + a) + 2.0 * digamma(x + a) - 2.0 * log_gamma(x + a) / x
 
 
+@_total
 def h4(a: float, x):
     """(x(x+a) psi(x+a) - (x+a) log Gamma(x+a)) / x^2.
 
     Satisfies (log g3)' = (h4(x) - c) / (x + a).
     """
-    _check_positive_pair(a, x, "h4")
+    _require("h4", a, x, 0.0, a_lo=0.0)
     return (x + a) * (x * digamma(x + a) - log_gamma(x + a)) / (x * x)
 
 
-def h21(a: float, t: float) -> float:
+@_total
+def h21(a: float, t):
     """(t-a)^2 psi'(t) - (t-a) psi(t) + log Gamma(t); numerator of h2~'."""
-    if t <= 0.0:
-        raise DomainError(f"h21 requires t > 0, got {t}")
+    _require("h21", a, t, 0.0)
     u = t - a
     return u * u * polygamma(1, t) - u * digamma(t) + log_gamma(t)
 
 
-def h31(a: float, t: float) -> float:
+@_total
+def h31(a: float, t):
     """-(t-a)^3 psi''(t) + (t-a)^2 psi'(t) - 2(t-a) psi(t) + 2 log Gamma(t)."""
-    if t <= 0.0:
-        raise DomainError(f"h31 requires t > 0, got {t}")
+    _require("h31", a, t, 0.0)
     u = t - a
     return (
         -(u**3) * polygamma(2, t)
@@ -280,18 +321,18 @@ def h31(a: float, t: float) -> float:
     )
 
 
-def h41(a: float, t: float) -> float:
+@_total
+def h41(a: float, t):
     """t(t-a)^2 psi'(t) - (t^2-a^2) psi(t) + (t+a) log Gamma(t)."""
-    if t <= 0.0:
-        raise DomainError(f"h41 requires t > 0, got {t}")
+    _require("h41", a, t, 0.0)
     u = t - a
     return t * u * u * polygamma(1, t) - (t * t - a * a) * digamma(t) + (t + a) * log_gamma(t)
 
 
-def h41_prime(a: float, t: float) -> float:
+@_total
+def h41_prime(a: float, t):
     """t(t-a)^2 psi''(t) + 2(t-a)^2 psi'(t) - (t-a) psi(t) + log Gamma(t)."""
-    if t <= 0.0:
-        raise DomainError(f"h41_prime requires t > 0, got {t}")
+    _require("h41_prime", a, t, 0.0)
     u = t - a
     return (
         t * u * u * polygamma(2, t)
@@ -307,11 +348,27 @@ def _tail_rows(a: float, x):
     rho is 0.2, and 0.7 at a in {1, 2}, where delta_n(0) = -log Gamma(a) = 0
     and the direct form cancels to O(x^(n+1)) from O(1) terms.  0.7 was
     measured: it keeps log_g1_deriv (n <= 6) within 4e-14 of mpmath on
-    (-0.45a, 30), against 2e-11 at 0.2.  An infinite x takes the direct
-    form.  x is a float or an ndarray.
+    (-0.45a, 30), against 2e-11 at 0.2.  x is a float or an ndarray.
     """
     rho = 0.7 if a in (1.0, 2.0) else 0.2
     return (x != 0.0) & (abs(x) / (x + a) <= rho)
+
+
+def _delta_direct(a: float, n: int, x) -> list[tuple]:
+    """(t_k, psi^(k-1)(x+a), delta_k(x)) for k = 1..n, from the direct form.
+
+    One running sum: t_k = (-x)^k/k! and delta_k = delta_(k-1) - t_k
+    psi^(k-1)(x+a), from delta_0 = -log Gamma(x+a).  x is a float or an
+    ndarray.
+    """
+    y = x + a
+    d, t, out = -log_gamma(y), 1.0, []
+    for k in range(1, n + 1):
+        t = t * (-x / k)
+        p = digamma(y) if k == 1 else polygamma(k - 1, y)
+        d = d - t * p
+        out.append((t, p, d))
+    return out
 
 
 def _delta_tail(a: float, n: int, x):
@@ -328,7 +385,7 @@ def _delta_tail(a: float, n: int, x):
     part is below rounding of the sum it is dropped.  Orders are added until
     every term is below rounding relative to its sum; with |r_0| <= 0.7 (see
     :func:`_tail_rows`) that takes at most ~110 of them.  Each temporary
-    holds J values per row.  x is a float, or an ndarray of tail rows.
+    holds J values per row.  x is a float, or a non-empty ndarray of tail rows.
     """
     xs = np.asarray(x, dtype=float)
     shift = math.ceil(max(_edge(n + 1), 4.0 * float(np.max(np.abs(xs)))) - a - float(np.min(xs)))
@@ -353,91 +410,68 @@ def _delta_tail(a: float, n: int, x):
     return total - (0.0 if a in (1.0, 2.0) else log_gamma(a))
 
 
-def delta_n(a: float, n: int, x: float) -> float:
+@_total
+def delta_n(a: float, n: int, x):
     """-log Gamma(x+a) - sum_{k=1..n} ((-1)^k x^k / k!) psi^(k-1)(x+a).
 
     The direct form cancels catastrophically as x -> 0 (delta_n = O(x^{n+1})
     while the individual terms are O(1)), so where :func:`_tail_rows` holds
     (|x| <= 0.2 (x+a), or 0.7 (x+a) at a in {1, 2}) the factorial-free tail
-    form of :func:`_delta_tail` is used instead.  It starts at the leading
-    order, converges geometrically and is finite for every n up to
-    MAX_ORDER; its relative error grows by about an ulp per order (1.4e-14
-    against mpmath at n = 170).
+    form of :func:`_delta_tail` is used instead, and no psi is evaluated
+    there.  It starts at the leading order, converges geometrically and is
+    finite for every n up to MAX_ORDER; its relative error grows by about an
+    ulp per order (1.4e-14 against mpmath at n = 170).  The other entries
+    take the direct form's running sum, :func:`_delta_direct`.
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"delta_n requires 1 <= n <= {MAX_ORDER}, got {n}")
-    if x <= -a:
-        raise DomainError(f"x must exceed -a = {-a}, got {x}")
-    if _tail_rows(a, x):
-        return float(_delta_tail(a, n, x))
-    s = -log_gamma(x + a)
-    term = 1.0
-    for k in range(1, n + 1):
-        term *= -x / k
-        pk = digamma(x + a) if k == 1 else polygamma(k - 1, x + a)
-        s -= term * pk
-    return s
+    _require("delta_n", a, x, -a)
+    return _split(x, _tail_rows(a, x), lambda t: _delta_tail(a, n, t),
+                  lambda t: _delta_direct(a, n, t)[-1][2])
 
 
+@_total
 def log_g1_deriv(a: float, n: int, x):
     """n-th derivative of log g1 at x.
 
     For x != 0 this is the closed form (-1)^n n! delta_n(x) / x^{n+1}; at the
-    removable point x = 0 (only a = 1 or a = 2) it is -psi^(n)(a)/(n+1).  An
-    ndarray x takes order n of :func:`_lcm_margins`.
+    removable point x = 0 (only a = 1 or a = 2) it is -psi^(n)(a)/(n+1).
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"log_g1_deriv requires 1 <= n <= {MAX_ORDER}, got {n}")
-    if type(x) is not float and isinstance(x, np.ndarray):
-        return (-1.0) ** n * _lcm_margins(a, x.ravel(), n)[:, n - 1].reshape(x.shape)
-    if x == 0.0:
-        if a not in (1.0, 2.0):
-            raise DomainError("derivatives at x = 0 require a = 1 or a = 2")
-        return -polygamma(n, a) / (n + 1)
-    if x <= -a:
-        raise DomainError(f"x must exceed -a = {-a}, got {x}")
-    sign = -1.0 if n % 2 == 1 else 1.0
-    return sign * math.factorial(n) * delta_n(a, n, x) / x ** (n + 1)
+    _require("log_g1_deriv", a, x, -a, zero=a in (1.0, 2.0))
+    return _split(x, x == 0.0, lambda t: -polygamma(n, a) / (n + 1),
+                  lambda t: (-1.0) ** n * math.factorial(n) * delta_n(a, n, t) / t ** (n + 1))
 
 
 def _lcm_margins(a: float, x: np.ndarray, max_order: int) -> np.ndarray:
     """(-1)^n (log g1)^(n)(x) = n! delta_n(x) / x^(n+1), shape (len(x), max_order).
 
-    Column n-1 holds order n, the values (-1)^n log_g1_deriv(a, n, x) gives
-    point by point, from one pass: psi^(k-1)(x+a) for k = 1..N are N array
-    calls, the direct rows build delta_1..delta_N as one running sum, and the
-    tail rows (:func:`_tail_rows`) sum the tail once at order N and step down
-    with delta_(k-1) = delta_k + t_k psi^(k-1)(x+a), t_k = (-x)^k/k!.  A row
-    x = 0 (a in {1, 2} only) takes -(-1)^n psi^(n)(a)/(n+1).
+    Column n-1 holds order n, the values (-1)^n log_g1_deriv(a, n, x) gives,
+    from one pass: the running sum of :func:`_delta_direct` to order N gives
+    delta_1..delta_N on the direct rows, and the tail rows
+    (:func:`_tail_rows`) sum the tail once at order N and step down with
+    delta_(k-1) = delta_k + t_k psi^(k-1)(x+a).  A row x = 0 (a in {1, 2}
+    only) takes -(-1)^n psi^(n)(a)/(n+1).
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise DomainError(f"LCM orders must lie in 1..{MAX_ORDER}, got {max_order}")
     x = np.asarray(x, dtype=float)
-    _require_above(x, -a, f"x must exceed -a = {-a}")
-    zero = x == 0.0
-    if zero.any() and a not in (1.0, 2.0):
-        raise DomainError("derivatives at x = 0 require a = 1 or a = 2")
-    y = x + a
-    psi = [digamma(y)] + [polygamma(k, y) for k in range(1, max_order)]
-    t = np.empty((max_order, x.size))  # t[k-1] = (-x)^k / k!
-    d, term = -log_gamma(y), np.ones_like(x)
-    delta = np.empty((x.size, max_order))
-    for k in range(1, max_order + 1):
-        term = term * (-x / k)
-        t[k - 1] = term
-        d = d - term * psi[k - 1]
-        delta[:, k - 1] = d
-    tail = _tail_rows(a, x)
-    if tail.any():
-        d = _delta_tail(a, max_order, x[tail])
-        for k in range(max_order, 1, -1):
-            delta[tail, k - 1] = d
-            d = d + t[k - 1, tail] * psi[k - 1][tail]
-        delta[tail, 0] = d
+    _require("LCM margins", a, x, -a, zero=a in (1.0, 2.0))
     n = np.arange(1, max_order + 1)
-    factorial = np.cumprod(n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        margins = factorial * delta / x[:, None] ** (n + 1)
+    with np.errstate(all="ignore"):
+        sums = _delta_direct(a, max_order, x)
+        delta = np.column_stack([d for _, _, d in sums])
+        tail = _tail_rows(a, x)
+        if tail.any():
+            d = _delta_tail(a, max_order, x[tail])
+            for k in range(max_order, 1, -1):
+                delta[tail, k - 1] = d
+                t, p, _ = sums[k - 1]
+                d = d + t[tail] * p[tail]
+            delta[tail, 0] = d
+        margins = np.cumprod(n, dtype=float) * delta / x[:, None] ** (n + 1)
+    zero = x == 0.0
     if zero.any():
         margins[zero] = [(-1) ** k * -polygamma(k, a) / (k + 1) for k in n]
     if not np.isfinite(margins).all():
@@ -445,10 +479,10 @@ def _lcm_margins(a: float, x: np.ndarray, max_order: int) -> np.ndarray:
     return margins
 
 
+@_total
 def x_logderiv_g3(a: float, c: float, x):
     """x g3'(x)/g3(x) = h2(x) + a c/(x+a) - c.
 
-    Tends to 0 as x -> 0+ and to 1 - c as x -> inf.
+    Tends to 0 as x -> 0+ and to 1 - c as x -> inf; h2 checks the domain.
     """
-    _check_positive_pair(a, x, "x_logderiv_g3")
     return h2(a, x) + a * c / (x + a) - c

@@ -145,9 +145,9 @@ def _euler_maclaurin_array(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         while (low := y < edge).any():
             total[low] += y[low] ** -s
             y[low] += 1.0
-    if not np.isfinite(total).all():
-        raise OverflowError(f"a term of the order-{s} sum exceeds the double range")
-    return total + y**-s * _remainder(s, y), y
+        if not np.isfinite(total).all():
+            raise OverflowError(f"a term of the order-{s} sum exceeds the double range")
+        return total + y**-s * _remainder(s, y), y
 
 
 def log_gamma(x: float | np.ndarray) -> float | np.ndarray:

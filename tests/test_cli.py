@@ -113,6 +113,26 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "finite" in err or "too wide" in err
 
+    # a = 1.5 puts delta_n's tail form at x <= 0.375: its two extra ranges
+    # take no tail row and only tail rows
+    @pytest.mark.parametrize("fn, lo, hi", [(fn, 0.1, 4.0) for fn in sorted(FN_CATALOG)]
+                             + [("delta_n", 0.5, 4.0), ("delta_n", 0.01, 0.3)])
+    def test_range_is_one_call_matching_points(self, capsys, monkeypatch, fn, lo, hi):
+        calls, inner = [], FN_CATALOG[fn]
+        monkeypatch.setitem(FN_CATALOG, fn, lambda ns, x: calls.append(x) or inner(ns, x))
+        opts = ("--fn", fn, "--a", "1.5", "--c", "0.5", "--n", "3", "--sign", "minus")
+        code, out, _ = run(capsys, "eval", *opts, f"--x-min={lo}", f"--x-max={hi}",
+                           "--points", "25")
+        assert (code, len(calls)) == (0, 1)
+        rows = out.splitlines()[1:]
+        assert len(rows) == 25
+        for row in rows:
+            x, v = row.split(",")
+            code, point, _ = run(capsys, "eval", *opts, "--x", x)
+            assert code == 0
+            want = float(point)
+            assert abs(float(v) - want) <= 1e-14 * max(1.0, abs(want)), x
+
     def test_negative_points_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "--fn", "psi", "--x-min", "1", "--x-max", "2",
                              "--points", "-3")
@@ -144,6 +164,11 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "residual" in err
 
+    def test_bracket_error_exit_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--kind", "x3", "--a=1.000000000001")
+        assert (code, out) == (2, "")
+        assert "kept sign +1 up to the last probe t=" in err
+
     def test_main_module_exit_2_without_traceback(self):
         src = str(Path(gammapower.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -170,6 +195,17 @@ class TestVerify:
                            "--points", "64")
         assert code == 1
         assert "violated" in out
+
+    def test_huge_a_prints_no_numpy_warning(self):
+        # at a = 1e300 the far pairs of ineq3 overflow inside numpy; the claim
+        # is still certified, and nothing reaches stderr
+        src = str(Path(gammapower.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammapower.cli", "verify", "--claim", "ineq3", "--a=1e300"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "1/1 certified" in proc.stdout
 
     def test_unknown_claim_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "bogus")

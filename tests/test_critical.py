@@ -7,6 +7,7 @@ import pytest
 
 from gammapower.critical import (
     A_STAR,
+    BracketError,
     CriticalKind,
     PreconditionError,
     find_t4_tilde,
@@ -69,6 +70,15 @@ class TestX3:
         for a in (1.0, 2.0, 2.5):
             with pytest.raises(PreconditionError):
                 find_x3(a)
+
+    def test_bracket_error_says_where_it_looked(self):
+        # just above a = 1, h21 stays positive on every probe of the expansion
+        with pytest.raises(BracketError) as info:
+            find_x3(1.0 + 1e-12)
+        err = info.value
+        assert err.sign == 1.0 and err.probe > 1e6
+        assert h21(1.0 + 1e-12, err.probe) > 0.0
+        assert f"last probe t={err.probe!r}" in str(err) and "sign +1" in str(err)
 
 
 class TestX4AndT4:

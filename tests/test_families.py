@@ -33,7 +33,7 @@ from gammapower.families import (
 )
 from gammapower.families import _lcm_margins
 from gammapower.certify import SamplePlan
-from gammapower.specfun import DomainError, EULER_GAMMA, log_gamma
+from gammapower.specfun import DomainError, EULER_GAMMA, digamma, log_gamma, polygamma
 
 import oracles
 
@@ -124,12 +124,34 @@ def test_log_g1_taylor_window_matches_mpmath(a, x):
         assert float(abs((log_g1(a, x) - want) / want)) <= tol
 
 
-# The functions with an array path: f(a, x) for an ndarray x is the ndarray of
-# the scalar values.  log_g1 takes a in {1, 2}, whose domain includes x <= 0.
+# Every public function as f(a, x): for an ndarray x it gives the ndarray of
+# its float values.  delta_n and log_g1_deriv enter at each order 1..6.
 _ARRAY_FNS = {
-    "h2": h2, "h3": h3, "h4": h4, "log_g1": log_g1,
+    "f": lambda a, x: f_family(Params(a, 1.2, Sign.MINUS), x),
+    "g": lambda a, x: g_family(Params(a, -0.8), x),
+    "g1": g1, "g2": lambda a, x: g2(a, 0.4, x), "g3": lambda a, x: g3(a, -0.6, x),
+    "h1": h1, "h2": h2, "h3": h3, "h4": h4, "log_g1": log_g1,
+    "h21": h21, "h31": h31, "h41": h41, "h41_prime": h41_prime,
     "x_logderiv_g3": lambda a, x: x_logderiv_g3(a, 0.7, x),
     "log_g2": lambda a, x: log_g2(a, -1.3, x), "log_g3": lambda a, x: log_g3(a, 2.1, x),
+    **{f"delta_n.{n}": (lambda a, x, n=n: delta_n(a, n, x)) for n in range(1, 7)},
+    **{f"log_g1_deriv.{n}": (lambda a, x, n=n: log_g1_deriv(a, n, x)) for n in range(1, 7)},
+}
+# Domains reaching below 0: at every a, and at a in {1, 2} only (x = 0 included).
+_NEGATIVE_X = {"h1"} | {f"delta_n.{n}" for n in range(1, 7)}
+_NEGATIVE_X_AT_1_2 = {"log_g1", "g1"} | {f"log_g1_deriv.{n}" for n in range(1, 7)}
+# h31, h41 and h41_prime cancel: near t = 0 and at large t their terms exceed
+# the value up to ~1e3-fold.  specfun's array and float sums differ by up to
+# an ulp (numpy's vectorised pow against libm's, on ~5% of arguments), so for
+# these three the 1e-14 is relative to the largest term.
+_TERMS = {
+    "h31": lambda a, t: [(t - a) ** 3 * polygamma(2, t), (t - a) ** 2 * polygamma(1, t),
+                         2.0 * (t - a) * digamma(t), 2.0 * log_gamma(t)],
+    "h41": lambda a, t: [t * (t - a) ** 2 * polygamma(1, t), (t * t - a * a) * digamma(t),
+                         (t + a) * log_gamma(t)],
+    "h41_prime": lambda a, t: [t * (t - a) ** 2 * polygamma(2, t),
+                               2.0 * (t - a) ** 2 * polygamma(1, t), (t - a) * digamma(t),
+                               log_gamma(t)],
 }
 
 
@@ -140,20 +162,60 @@ _ARRAY_FNS = {
 @settings(max_examples=40, deadline=None)
 def test_array_path_matches_scalar_path(name, a, xs, negative):
     fn = _ARRAY_FNS[name]
-    if negative and name == "log_g1" and a in (1.0, 2.0):
+    if negative and (name in _NEGATIVE_X or name in _NEGATIVE_X_AT_1_2 and a in (1.0, 2.0)):
         xs = [x * a / 1e3 - a * 0.999 for x in xs]  # onto (-a, 0.001 a]
+    try:
+        want = np.array([fn(a, x) for x in xs])
+    except OverflowError:  # a float overflows: so does the array
+        with pytest.raises(OverflowError):
+            fn(a, np.array(xs))
+        return
     got = fn(a, np.array(xs))
-    want = np.array([fn(a, x) for x in xs])
     assert got.shape == want.shape
-    assert (np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))).all()
+    scale = np.maximum(1.0, np.abs(want))
+    if name in _TERMS:
+        scale = np.maximum(scale, [max(map(abs, _TERMS[name](a, x))) for x in xs])
+    assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+
+# a = 1.5: x = 0 is outside every domain but h1's and delta_n's, and -1.5 = -a
+# is at the edge
+_BAD_X = [math.nan, math.inf, -math.inf, 0.0, -1.5]
+
+
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=f"{bad}-{name}") for bad in _BAD_X for name in _ARRAY_FNS
+    if not (bad == 0.0 and name in _NEGATIVE_X)])
+def test_array_path_domain_error(name, bad):
+    with pytest.raises(DomainError):
+        _ARRAY_FNS[name](1.5, np.array([0.5, 2.0, bad, 3.0]))
+
+
+# Any float, weighted towards the edges: nan, +-inf, huge, tiny and subnormal.
+_EDGE_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e300, -1e300, 1.5, 1e-300, 5e-324, 0.0, 1.0, 2.0]))
 
 
 @pytest.mark.parametrize("name", _ARRAY_FNS)
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.5])
-def test_array_path_domain_error(name, bad):
-    # a = 1.5: x = 0 is outside every domain, and -1.5 = -a is at the edge
-    with pytest.raises(DomainError):
-        _ARRAY_FNS[name](1.5, np.array([0.5, 2.0, bad, 3.0]))
+@given(a=_EDGE_FLOAT, x=_EDGE_FLOAT)
+@settings(max_examples=60, deadline=None)
+def test_total_on_any_float(name, a, x):
+    # a float x gives a finite float and an array of x an array of finite
+    # values, or each raises DomainError (a non-finite a or x, or x outside the
+    # domain: the two alike) or OverflowError (no finite value)
+    fn = _ARRAY_FNS[name]
+    outcomes = []
+    for arg in (x, np.array([x, x])):
+        try:
+            v = fn(a, arg)
+        except (DomainError, OverflowError) as exc:
+            outcomes.append(type(exc))
+        else:
+            assert type(v) is type(arg) and np.isfinite(v).all()
+            outcomes.append(None)
+    assert (outcomes[0] is DomainError) == (outcomes[1] is DomainError)
+    if not (math.isfinite(a) and math.isfinite(x)):
+        assert outcomes == [DomainError, DomainError]
 
 
 class TestAuxiliaryValues:
