@@ -29,7 +29,7 @@ from . import critical
 
 __all__ = [
     "Region", "RegionError", "classify", "SamplePlan", "Verdict", "Witness", "ClaimReport",
-    "C0_BRACKET", "certify_monotone", "certify_lcm", "certify_logconvex", "certify_geoconvex",
+    "C0_BRACKET", "certify_monotone", "certify_lcm", "certify_logconvex",
     "certify_inequality", "certify_comparisons", "certify_constants", "certify_range",
     "segments", "expect_violation", "claim_ids", "run_claims",
 ]
@@ -194,7 +194,8 @@ class ClaimReport:
     def to_dict(self) -> dict:
         return {
             "claim_id": self.claim_id,
-            "params": {"a": self.params.a, "c": self.params.c, "sign": self.params.sign.value},
+            "params": {"a": None if math.isnan(self.params.a) else self.params.a,
+                       "c": self.params.c, "sign": self.params.sign.value},
             "plan": self.plan.to_dict(),
             "verdict": self.verdict.value,
             "witnesses": [w.to_dict() for w in self.witnesses],
@@ -205,7 +206,7 @@ class ClaimReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 # (where, margins, required): an (N, k) array of sample locations, N rows of
@@ -331,22 +332,6 @@ def certify_logconvex(a: float, c: float, plan: SamplePlan, sense: str,
         return [(x[:, None], flip * (c - fam.h3(a, x)) / (x * x), f"(log g2)'' sign for {sense}")]
 
     return _check(claim_id or f"logconvex.{sense}", fam.Params(a=a, c=c), plan, blocks)
-
-
-def _geo_slope(family: str, a: float, c: float) -> ArrayFn:
-    if family == "g2":
-        return lambda x: fam.h2(a, x) - c
-    if family == "g3":
-        return lambda x: fam.x_logderiv_g3(a, c, x)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def certify_geoconvex(family: str, a: float, c: float, plan: SamplePlan, sense: str,
-                      claim_id: str | None = None) -> ClaimReport:
-    """Geometric convexity via monotonicity of x f'(x)/f(x)."""
-    return certify_monotone(
-        _geo_slope(family, a, c), plan, "increasing" if sense == "convex" else "decreasing",
-        claim_id=claim_id or f"geoconvex.{family}.{sense}", params=fam.Params(a=a, c=c))
 
 
 # --- corollary inequalities and comparisons ---------------------------------
@@ -548,11 +533,13 @@ def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
     def split_at_x3(plan, claim_id, a, c):
         """g2 geometrically concave on (0, x3) and convex on (x3, inf)."""
         x3, (lo, hi), m = critical.find_x3(a).value, plan.interval, plan.margin
-        return segments(claim_id, fam.Params(a, c), plan, _geo_slope("g2", a, c),
+        return segments(claim_id, fam.Params(a, c), plan, lambda x: fam.h2(a, x) - c,
                         [((lo, x3 - m), "decreasing"), ((x3 + m, hi), "increasing")],
                         note=f"split at x3={x3!r}")
 
     lcm, g2, g3 = dict(max_order=6, interval=(1e-2, 30.0)), mono(fam.log_g2), mono(fam.log_g3)
+    # geometric convexity: x f'(x)/f(x) increasing, x (log g2)' = h2 - c for g2
+    geo2, geo3 = mono(lambda a, c, x: fam.h2(a, x) - c), mono(fam.x_logderiv_g3)
     inc, dec = "increasing", "decreasing"
     return [
         ("constants", "constants.c0-bracket", certify_constants, {}),
@@ -576,15 +563,15 @@ def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
           for a, c, s in ((3.0, 1.0, "convex"), (2.0, 1.0, "convex"), (2.0, 0.0, "concave"))],
         ("thm2.2.onlyif", "thm2.2.onlyif.a={a:g}.c={c:g}", onlyif(certify_logconvex),
          dict(a=2.0, c=0.5, sense="convex")),
-        *[("thm2.3.geoconvex", "thm2.3.geoconvex.a={a:g}.c={c:g}", certify_geoconvex,
-           dict(family="g2", a=a, c=c, sense="convex")) for a, c in ((0.75, -3.0), (3.0, 1.0))],
+        *[("thm2.3.geoconvex", "thm2.3.geoconvex.a={a:g}.c={c:g}", geo2,
+           dict(a=a, c=c, direction=inc)) for a, c in ((0.75, -3.0), (3.0, 1.0))],
         ("thm2.3.geoconvex", "thm2.3.piecewise.a={a:g}.c={c:g}", split_at_x3, dict(a=1.5, c=0.0)),
         ("thm3.1.mono", "thm3.1.dec.a={a:g}.c={c:g}", g3, dict(a=3.0, c=1.0, direction=dec)),
         ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr", g3, dict(a=2.0, c=_PSI1_2, direction=inc)),
         ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr-0.01", g3,
          dict(a=1.5, c=_g3_below_threshold(), direction=inc)),
-        *[("thm3.2.geoconvex", "thm3.2.geoconvex.a={a:g}.c={c:g}", certify_geoconvex,
-           dict(family="g3", a=a, c=-1.0, sense="convex")) for a in (0.75, 3.0)],
+        *[("thm3.2.geoconvex", "thm3.2.geoconvex.a={a:g}.c={c:g}", geo3,
+           dict(a=a, c=-1.0, direction=inc)) for a in (0.75, 3.0)],
         *[(template.split(".")[0], template, ineq(template.split(".")[0]), params)
           for template, params in (
               ("ineq1.a={a:g}", dict(a=1.5)), ("ineq2.a={a:g}", dict(a=1.0)),

@@ -108,10 +108,15 @@ def _finite(text: str) -> float:
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
-    """np.linspace(lo, hi, n); a range wider than the largest double is an error."""
+    """np.linspace(lo, hi, n); a range wider than the largest double is an error.
+
+    Near that width linspace's last step may round past the double range; it
+    sets the last point to hi, so the overflow is not reported.
+    """
     if not math.isfinite(hi - lo):
         raise ValueError(f"the range {lo!r} .. {hi!r} is too wide for a grid")
-    return np.linspace(lo, hi, n).tolist()
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, n).tolist()
 
 
 def _point_dict(p: critical.CriticalPoint) -> dict:
@@ -215,9 +220,9 @@ def _run_verify(ns, out) -> int:
     dicts = [r.to_dict() for r in reports]
     if ns.out:
         with open(ns.out, "w") as fh:
-            json.dump(dicts, fh, sort_keys=True, indent=2)
+            json.dump(dicts, fh, sort_keys=True, indent=2, allow_nan=False)
     if ns.format == "json":
-        out.write(json.dumps(dicts, sort_keys=True) + "\n")
+        out.write(json.dumps(dicts, sort_keys=True, allow_nan=False) + "\n")
     else:
         width = max(len(r.claim_id) for r in reports)
         out.write(f"{'claim':<{width}}  verdict       min_margin\n")

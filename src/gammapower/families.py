@@ -27,25 +27,26 @@ changes locate the critical points solved in :mod:`gammapower.critical`.
 All evaluations go through log space.  Derivative and series orders n run
 over 1..MAX_ORDER.  Every public function takes a float x, giving a float,
 or an ndarray of x, giving an ndarray of its shape, from one body: only the
-private helpers test `type(x) is float` (first, as specfun does).
+private helpers test whether x is an ndarray.
 
 Every public function is total: a non-finite a or x, or an x outside the
 domain, raises DomainError, and a value that is not finite OverflowError.
 An array raises if any entry would.
 
-delta_n near x = 0 is summed in its factorial-free tail form
-
-    delta_n(x) = -log Gamma(a) + sum_{k>n} sum_{j>=0} (x/(x+a+j))^k / k,
-
-which follows from psi^(k-1)(y) = (-1)^k (k-1)! zeta(k, y) (DLMF 5.15.2).
+delta_n is summed as powers of x/(x+a+j): its k-th term, k >= 2, is
+S_k = x^k zeta(k, x+a)/k = sum_{j>=0} (x/(x+a+j))^k / k (DLMF 5.15.2), and
+near x = 0 it takes the tail form delta_n = -log Gamma(a) + sum_{k>n} S_k.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -113,7 +114,7 @@ def _total(fn):
             except ZeroDivisionError:
                 v = math.inf
             if -math.inf < v < math.inf:
-                return v
+                return float(v)
         else:
             with np.errstate(all="ignore"):
                 v = fn(*args)
@@ -343,139 +344,137 @@ def h41_prime(a: float, t):
 
 
 def _tail_rows(a: float, x):
-    """Where delta_n takes the tail form: x != 0 and |x| / (x+a) <= rho, for x > -a.
+    """Where delta_n takes the tail form: |x| / (x+a) <= rho, for x > -a.
 
-    rho is 0.2, and 0.7 at a in {1, 2}, where delta_n(0) = -log Gamma(a) = 0
-    and the direct form cancels to O(x^(n+1)) from O(1) terms.  0.7 was
-    measured: it keeps log_g1_deriv (n <= 6) within 4e-14 of mpmath on
-    (-0.45a, 30), against 2e-11 at 0.2.  x is a float or an ndarray.
+    rho is 0.2, and 0.7 at a in {1, 2}, where delta_n(0) = 0 and the direct
+    form cancels: 0.7 keeps log_g1_deriv (n <= 6) within 4e-14 of mpmath on
+    (-0.45a, 30), against 2e-11 at 0.2 (measured).  x is a float or an ndarray.
     """
     rho = 0.7 if a in (1.0, 2.0) else 0.2
-    return (x != 0.0) & (abs(x) / (x + a) <= rho)
+    return abs(x) <= rho * (x + a)
 
 
-def _delta_direct(a: float, n: int, x) -> list[tuple]:
-    """(t_k, psi^(k-1)(x+a), delta_k(x)) for k = 1..n, from the direct form.
+def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
+    """[delta_1(x), ..., delta_n(x)] for x (a float or a 1-d ndarray) on one side.
 
-    One running sum: t_k = (-x)^k/k! and delta_k = delta_(k-1) - t_k
-    psi^(k-1)(x+a), from delta_0 = -log Gamma(x+a).  x is a float or an
-    ndarray.
+    Direct rows: delta_1 = -log Gamma(x+a) + x psi(x+a), delta_k = delta_(k-1)
+    - S_k; tail rows: delta_n = -log Gamma(a) + sum_{k>n} S_k, delta_(k-1) =
+    delta_k + S_k (module docstring).  S_k adds the ratios j < J in order of j,
+    then (x/z)^k (z/(k-1) + _remainder(k, z)) at z = x+a+J past _edge(n+1)
+    and, on tail rows, 4|x|: past order n+1 that bracket's error grows like
+    k^21 z^-21 while (x/z)^k falls 4x per order (checked against mpmath to
+    n = 170).  A row drops it once below rounding of its sum; tail orders are
+    added until each term is, at most ~110.  `scaled` tail rows (a in {1, 2},
+    so log Gamma(a) = 0) give delta_k / x^(k+1), in range where delta_k
+    underflows: 1 for x in the ratios' numerators, order k > n weighted by
+    x^(k-n-1), delta_(k-1) = x delta_k + S_k/x^k; at x = 0, zeta(k+1, a)/(k+1).
     """
-    y = x + a
-    d, t, out = -log_gamma(y), 1.0, []
-    for k in range(1, n + 1):
-        t = t * (-x / k)
-        p = digamma(y) if k == 1 else polygamma(k - 1, y)
-        d = d - t * p
-        out.append((t, p, d))
-    return out
-
-
-def _delta_tail(a: float, n: int, x):
-    """delta_n(x) = -log Gamma(a) + sum_{k>n} sum_{j>=0} (x/(x+a+j))^k / k.
-
-    Each tail term ((-x)^k/k!) psi^(k-1)(x+a) equals x^k zeta(k, x+a)/k, the
-    sum over j of r_j^k/k with r_j = x/(x+a+j), so no factorial appears and
-    nothing underflows before the sum does.  The ratios j < J are summed
-    directly; the rest are (x/z)^k (z/(k-1) + _remainder(k, z)) at
-    z = x+a+J, where z is past both the order-(n+1) edge and 4|x|.  Past
-    order n+1, z may fall short of _edge(k); the bracket's error there grows
-    like k^21 z^-21 while (x/z)^k falls by 4x per order, so it stays below
-    rounding of the sum (checked against mpmath up to n = 170).  Once that
-    part is below rounding of the sum it is dropped.  Orders are added until
-    every term is below rounding relative to its sum; with |r_0| <= 0.7 (see
-    :func:`_tail_rows`) that takes at most ~110 of them.  Each temporary
-    holds J values per row.  x is a float, or a non-empty ndarray of tail rows.
-    """
-    xs = np.asarray(x, dtype=float)
-    shift = math.ceil(max(_edge(n + 1), 4.0 * float(np.max(np.abs(xs)))) - a - float(np.min(xs)))
-    shift = max(shift, 0)
-    r = xs[..., None] / (xs[..., None] + (a + np.arange(shift)))
+    edge, reach = _edge(n + 1), 4.0 * abs(x) if tail else 0.0
+    u, p = (1.0, x) if scaled else (x, 1.0)
+    if not isinstance(x, np.ndarray):  # a float: lists beat numpy's per-call cost
+        shift = math.ceil(max(reach - a - x, edge - a - x, 0.0))
+        r = [u / (x + (a + j)) for j in range(shift)]
+        power, add, top = (lambda v: list(map(operator.mul, v, r))), sum, float
+    else:
+        shift = np.ceil(np.maximum(np.maximum(reach - a - x, edge - a - x), 0.0))
+        j = np.arange(max(math.ceil(shift.max()), 1))[:, None]
+        r = np.where(j < shift, u / (x + (a + j)), 0.0)
+        power, add, top = (lambda v: v * r), (lambda v: v.sum(axis=0)), np.ndarray.max
     z = x + (a + shift)
-    near, q = r**n, x / z
-    far, total = q**n, 0.0 * z
-    for k in range(n + 1, n + 256):
-        near *= r
-        term = near.sum(axis=-1)
+    q = u / z
+    near, far, live, sums, total, w = r, q, True, [], 0.0, 1.0
+    for k in range(2, n + 256 if tail else n + 1):
+        near = power(near)
+        s = add(near)
         if far is not None:
             far = far * q
-            beyond = far * (z / (k - 1) + _remainder(k, z))
-            term = term + beyond
-        term = term / k
-        total += term
-        if (abs(term) <= _UNIT_ROUNDOFF * abs(total)).all():
+            beyond = far * (z / (k - 1) + _remainder(k, z)) * live
+            s = s + beyond
+            live = live & (abs(beyond * w) > _UNIT_ROUNDOFF * abs(s if k <= n else total))
+            if not top(live):
+                far = None
+        s = s / k
+        if k <= n:
+            sums.append(s)
+            continue
+        total = total + w * s
+        if top(abs(w * s) - _UNIT_ROUNDOFF * abs(total)) <= 0.0:
             break
-        if far is not None and (abs(beyond) <= _UNIT_ROUNDOFF * abs(total)).all():
-            far = None
-    return total - (0.0 if a in (1.0, 2.0) else log_gamma(a))
+        w = w * p
+    if tail:
+        return list(accumulate([total - log_gamma(a), *sums[::-1]], lambda d, t: p * d + t))[::-1]
+    return list(accumulate([-log_gamma(x + a) + x * digamma(x + a), *sums], operator.sub))
+
+
+def _deltas(a: float, n: int, x, scaled: bool = False):
+    """delta_1(x)..delta_n(x) (/ x^(k+1) on `scaled` tail rows) by :func:`_delta_side`.
+
+    A list for a float; for an ndarray, shape (n,) + x.shape, in blocks of 4096
+    rows.  The caller checks the domain and runs an ndarray under np.errstate.
+    """
+    tail = _tail_rows(a, x)
+    if not isinstance(x, np.ndarray):
+        return _delta_side(a, n, x, tail, scaled and tail)
+    flat, out = x.ravel(), np.empty((n, x.size))
+    for side, rows in ((True, np.flatnonzero(tail)), (False, np.flatnonzero(~tail))):
+        for i in (rows[k:k + 4096] for k in range(0, rows.size, 4096)):
+            out[:, i] = np.reshape(_delta_side(a, n, flat[i], side, scaled and side), (n, -1))
+    return out.reshape((n,) + x.shape)
 
 
 @_total
 def delta_n(a: float, n: int, x):
     """-log Gamma(x+a) - sum_{k=1..n} ((-1)^k x^k / k!) psi^(k-1)(x+a).
 
-    The direct form cancels catastrophically as x -> 0 (delta_n = O(x^{n+1})
-    while the individual terms are O(1)), so where :func:`_tail_rows` holds
-    (|x| <= 0.2 (x+a), or 0.7 (x+a) at a in {1, 2}) the factorial-free tail
-    form of :func:`_delta_tail` is used instead, and no psi is evaluated
-    there.  It starts at the leading order, converges geometrically and is
-    finite for every n up to MAX_ORDER; its relative error grows by about an
-    ulp per order (1.4e-14 against mpmath at n = 170).  The other entries
-    take the direct form's running sum, :func:`_delta_direct`.
+    Summed as powers of x/(x+a+j) by :func:`_delta_side`.  Near 0 the direct
+    form cancels (delta_n = O(x^{n+1}), its terms O(1)); where :func:`_tail_rows`
+    holds the tail form is finite to n = MAX_ORDER, its error growing by about
+    an ulp per order (up to 3e-14 at n = 170).  Elsewhere the error is ~1e-16 of
+    the largest term: at a in {1, 2} delta_n -> 0 as n grows, so high orders
+    lose all relative accuracy (delta_n(2, 60, 5.0) is 1.4e-5 off mpmath).
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"delta_n requires 1 <= n <= {MAX_ORDER}, got {n}")
     _require("delta_n", a, x, -a)
-    return _split(x, _tail_rows(a, x), lambda t: _delta_tail(a, n, t),
-                  lambda t: _delta_direct(a, n, t)[-1][2])
+    return _deltas(a, n, x)[-1]
 
 
 @_total
 def log_g1_deriv(a: float, n: int, x):
-    """n-th derivative of log g1 at x.
+    """n-th derivative of log g1 at x, (-1)^n times order n of :func:`_lcm_margins`.
 
-    For x != 0 this is the closed form (-1)^n n! delta_n(x) / x^{n+1}; at the
-    removable point x = 0 (only a = 1 or a = 2) it is -psi^(n)(a)/(n+1).
+    That is (-1)^n n! delta_n(x) / x^{n+1}, and at the removable point x = 0
+    (a in {1, 2} only) -psi^(n)(a)/(n+1).
     """
-    if not 1 <= n <= MAX_ORDER:
-        raise DomainError(f"log_g1_deriv requires 1 <= n <= {MAX_ORDER}, got {n}")
-    _require("log_g1_deriv", a, x, -a, zero=a in (1.0, 2.0))
-    return _split(x, x == 0.0, lambda t: -polygamma(n, a) / (n + 1),
-                  lambda t: (-1.0) ** n * math.factorial(n) * delta_n(a, n, t) / t ** (n + 1))
+    return (-1.0) ** n * _lcm_margins(a, x, n, "log_g1_deriv")[..., -1]
 
 
-def _lcm_margins(a: float, x: np.ndarray, max_order: int) -> np.ndarray:
-    """(-1)^n (log g1)^(n)(x) = n! delta_n(x) / x^(n+1), shape (len(x), max_order).
+def _lcm_margins(a: float, x, max_order: int, name: str = "LCM margins") -> np.ndarray:
+    """(-1)^n (log g1)^(n)(x) = n! delta_n(x)/x^(n+1), n = 1..max_order, in the last axis.
 
-    Column n-1 holds order n, the values (-1)^n log_g1_deriv(a, n, x) gives,
-    from one pass: the running sum of :func:`_delta_direct` to order N gives
-    delta_1..delta_N on the direct rows, and the tail rows
-    (:func:`_tail_rows`) sum the tail once at order N and step down with
-    delta_(k-1) = delta_k + t_k psi^(k-1)(x+a).  A row x = 0 (a in {1, 2}
-    only) takes -(-1)^n psi^(n)(a)/(n+1).
+    One :func:`_deltas` pass, with x = m 2^e (1 <= |m| < 2), times the running
+    product of k/m (below n!), 1/m and an exact 2^(-(n+1) e): finite wherever
+    the value is.  At a in {1, 2} tail rows, x = 0 among them, come scaled
+    and take n! alone; x = 0 gives n! zeta(n+1, a)/(n+1) = -(-1)^n
+    psi^(n)(a)/(n+1).  Past the double range an ndarray raises OverflowError
+    naming `name`; a float gives inf or raises it.
     """
     if not 1 <= max_order <= MAX_ORDER:
-        raise DomainError(f"LCM orders must lie in 1..{MAX_ORDER}, got {max_order}")
-    x = np.asarray(x, dtype=float)
-    _require("LCM margins", a, x, -a, zero=a in (1.0, 2.0))
-    n = np.arange(1, max_order + 1)
-    with np.errstate(all="ignore"):
-        sums = _delta_direct(a, max_order, x)
-        delta = np.column_stack([d for _, _, d in sums])
-        tail = _tail_rows(a, x)
-        if tail.any():
-            d = _delta_tail(a, max_order, x[tail])
-            for k in range(max_order, 1, -1):
-                delta[tail, k - 1] = d
-                t, p, _ = sums[k - 1]
-                d = d + t[tail] * p[tail]
-            delta[tail, 0] = d
-        margins = np.cumprod(n, dtype=float) * delta / x[:, None] ** (n + 1)
-    zero = x == 0.0
-    if zero.any():
-        margins[zero] = [(-1) ** k * -polygamma(k, a) / (k + 1) for k in n]
-    if not np.isfinite(margins).all():
-        raise OverflowError("an LCM margin exceeds the double range")
+        raise DomainError(f"{name} requires 1 <= n <= {MAX_ORDER}, got {max_order}")
+    _require(name, a, x, -a, zero=a in (1.0, 2.0))
+    lib = np if isinstance(x, np.ndarray) else math
+    frac, exp2 = lib.frexp(x)
+    m, shift, scaled = 2.0 * frac, 1 - exp2, a in (1.0, 2.0)
+    keep = 1 - (scaled & _tail_rows(a, x))  # scaled rows come as delta_n / x^(n+1)
+    m, shift = m**keep, shift * keep  # m = 1 and no shift there
+    scale, margins = 1.0, []
+    with np.errstate(all="ignore") if lib is np else contextlib.nullcontext():
+        for k, d in enumerate(_deltas(a, max_order, x, scaled), 1):
+            scale = scale * (k / m)
+            margins.append(lib.ldexp(scale / m * d, (k + 1) * shift))
+    margins = np.stack(margins, axis=-1) if lib is np else np.array(margins)
+    if lib is np and not np.isfinite(margins).all():
+        raise OverflowError(f"{name}: a value exceeds the double range")
     return margins
 
 

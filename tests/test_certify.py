@@ -20,7 +20,6 @@ from gammapower.certify import (
     Verdict,
     certify_comparisons,
     certify_constants,
-    certify_geoconvex,
     certify_inequality,
     certify_lcm,
     certify_logconvex,
@@ -155,10 +154,11 @@ class TestTheoremClaims:
         assert certify_logconvex(2.0, 0.5, SMALL, "convex").verdict is Verdict.VIOLATED
 
     def test_geoconvex(self):
-        r = certify_geoconvex("g2", 0.75, -3.0, SMALL, "convex")
-        assert r.verdict is Verdict.CERTIFIED
-        with pytest.raises(ValueError):
-            certify_geoconvex("g9", 1.0, 0.0, SMALL, "convex")
+        # the catalog's geometric convexity rows: x f'/f increasing, for g2 and g3
+        for claim, a, c in (("thm2.3.geoconvex", 0.75, -3.0), ("thm3.2.geoconvex", 3.0, -1.0)):
+            (r,) = run_claims(claim, SMALL, a=a, c=c)
+            assert r.claim_id == f"{claim}.a={a:g}.c={c:g}"
+            assert r.verdict is Verdict.CERTIFIED, r.note
 
 
 class TestInequalities:

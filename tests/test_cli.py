@@ -222,6 +222,22 @@ class TestVerify:
         assert inline == on_disk
         assert inline[0]["verdict"] == "certified"
 
+    def test_json_is_strict(self, capsys, tmp_path):
+        # no NaN or Infinity token: a parameter a report does not have is
+        # null, so a strict parser (JavaScript's JSON.parse) reads the output
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        dest = tmp_path / "reports.json"
+        code, out, _ = run(capsys, "verify", "--claim", "all", "--format", "json",
+                           "--out", str(dest))
+        assert code == 0
+        for text in (out, dest.read_text()):
+            reports = json.loads(text, parse_constant=refuse)
+            assert len(reports) == 52
+            (constants,) = [r for r in reports if r["claim_id"] == "constants.c0-bracket"]
+            assert constants["params"]["a"] is None
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--claim", "constants",
                              "--out", str(tmp_path / "missing" / "f"))

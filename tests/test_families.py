@@ -31,6 +31,7 @@ from gammapower.families import (
     log_g3,
     x_logderiv_g3,
 )
+from gammapower import families
 from gammapower.families import _lcm_margins
 from gammapower.certify import SamplePlan
 from gammapower.specfun import DomainError, EULER_GAMMA, digamma, log_gamma, polygamma
@@ -125,7 +126,9 @@ def test_log_g1_taylor_window_matches_mpmath(a, x):
 
 
 # Every public function as f(a, x): for an ndarray x it gives the ndarray of
-# its float values.  delta_n and log_g1_deriv enter at each order 1..6.
+# its float values.  delta_n and log_g1_deriv enter at each order 1..6 and at
+# the high orders 30, 120 and 170.
+_ORDERS = (1, 2, 3, 4, 5, 6, 30, 120, 170)
 _ARRAY_FNS = {
     "f": lambda a, x: f_family(Params(a, 1.2, Sign.MINUS), x),
     "g": lambda a, x: g_family(Params(a, -0.8), x),
@@ -134,16 +137,20 @@ _ARRAY_FNS = {
     "h21": h21, "h31": h31, "h41": h41, "h41_prime": h41_prime,
     "x_logderiv_g3": lambda a, x: x_logderiv_g3(a, 0.7, x),
     "log_g2": lambda a, x: log_g2(a, -1.3, x), "log_g3": lambda a, x: log_g3(a, 2.1, x),
-    **{f"delta_n.{n}": (lambda a, x, n=n: delta_n(a, n, x)) for n in range(1, 7)},
-    **{f"log_g1_deriv.{n}": (lambda a, x, n=n: log_g1_deriv(a, n, x)) for n in range(1, 7)},
+    **{f"delta_n.{n}": (lambda a, x, n=n: delta_n(a, n, x)) for n in _ORDERS},
+    **{f"log_g1_deriv.{n}": (lambda a, x, n=n: log_g1_deriv(a, n, x)) for n in _ORDERS},
 }
 # Domains reaching below 0: at every a, and at a in {1, 2} only (x = 0 included).
-_NEGATIVE_X = {"h1"} | {f"delta_n.{n}" for n in range(1, 7)}
-_NEGATIVE_X_AT_1_2 = {"log_g1", "g1"} | {f"log_g1_deriv.{n}" for n in range(1, 7)}
+_NEGATIVE_X = {"h1"} | {f"delta_n.{n}" for n in _ORDERS}
+_NEGATIVE_X_AT_1_2 = {"log_g1", "g1"} | {f"log_g1_deriv.{n}" for n in _ORDERS}
 # h31, h41 and h41_prime cancel: near t = 0 and at large t their terms exceed
 # the value up to ~1e3-fold.  specfun's array and float sums differ by up to
 # an ulp (numpy's vectorised pow against libm's, on ~5% of arguments), so for
-# these three the 1e-14 is relative to the largest term.
+# these three the 1e-14 is relative to the largest term.  So do delta_n and
+# log_g1_deriv at high orders on the direct side: there delta_n tends to
+# 0 (a in {1, 2}) or converges slowly (large x) while its terms stay O(1)
+# or grow with x, and psi's array and float values differ by an ulp on
+# ~0.1% of arguments (numpy's log against libm's).
 _TERMS = {
     "h31": lambda a, t: [(t - a) ** 3 * polygamma(2, t), (t - a) ** 2 * polygamma(1, t),
                          2.0 * (t - a) * digamma(t), 2.0 * log_gamma(t)],
@@ -155,6 +162,29 @@ _TERMS = {
 }
 
 
+def _delta_terms(n, deriv):
+    """The largest terms of delta_n's direct form while |x| < x + a.
+
+    They are -log Gamma(x+a), x psi(x+a) and the power sums S_k <= S_2 =
+    x^2 psi'(x+a)/2; for log_g1_deriv each is scaled by n!/|x|^(n+1).  The
+    tail rows sum no such terms: there a float and an array agree to rounding.
+    """
+    def terms(a, x):
+        if families._tail_rows(a, x):
+            return [0.0]
+        y = x + a
+        t = [log_gamma(y), x * digamma(y), x * x * polygamma(1, y) / 2.0]
+        if not deriv:
+            return t
+        factor = mpmath.factorial(n) / abs(mpmath.mpf(x)) ** (n + 1) if x else 0
+        return [float(factor * v) for v in t]
+    return terms
+
+
+_TERMS.update({f"{name}.{n}": _delta_terms(n, name == "log_g1_deriv")
+               for name in ("delta_n", "log_g1_deriv") for n in _ORDERS if n > 6})
+
+
 @pytest.mark.parametrize("name", _ARRAY_FNS)
 @given(a=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.7]),
        xs=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=30),
@@ -162,6 +192,8 @@ _TERMS = {
 @settings(max_examples=40, deadline=None)
 def test_array_path_matches_scalar_path(name, a, xs, negative):
     fn = _ARRAY_FNS[name]
+    if "." in name and name in _TERMS:  # orders 30..170: up to ~1 ms a float call
+        xs = xs[:8]
     if negative and (name in _NEGATIVE_X or name in _NEGATIVE_X_AT_1_2 and a in (1.0, 2.0)):
         xs = [x * a / 1e3 - a * 0.999 for x in xs]  # onto (-a, 0.001 a]
     try:
@@ -368,6 +400,67 @@ def test_delta_n_high_order_matches_mpmath(a, x):
             if err > 1e-14:
                 bad.append((n, err))
     assert not bad
+
+
+@pytest.mark.parametrize("a, n, x", [(0.5, 170, 0.3), (1.5, 170, -0.75), (0.1, 170, 0.3),
+                                     (0.1, 120, -0.05)])
+def test_delta_n_finite_where_psi_overflows(a, n, x):
+    # psi^(n-1)(x+a) exceeds the double range at these points, but each term
+    # ((-x)^k/k!) psi^(k-1)(x+a) = x^k zeta(k, x+a)/k of delta_n is O(1)
+    with mpmath.workdps(30):
+        am, xm = mpmath.mpf(a), mpmath.mpf(x)
+        want = (-mpmath.loggamma(xm + am) + xm * mpmath.digamma(xm + am)
+                - mpmath.fsum(xm**k * mpmath.zeta(k, xm + am) / k for k in range(2, n + 1)))
+    for got in (delta_n(a, n, x), delta_n(a, n, np.array([x]))[0]):
+        assert float(abs((got - want) / want)) <= 1e-14
+
+
+def test_log_g1_deriv_finite_where_x_power_is_not():
+    # x^3 exceeds the double range at x = 5.7e102, the value 2 delta_2/x^3 does not
+    x = 5.7e102
+    with mpmath.workdps(30):
+        xm = mpmath.mpf(x)
+        want = 2 * (-mpmath.loggamma(xm) + xm * mpmath.digamma(xm)
+                    - xm * xm * mpmath.psi(1, xm) / 2) / xm**3
+    for got in (log_g1_deriv(0.0, 2, x), log_g1_deriv(0.0, 2, np.array([x]))[0]):
+        assert float(abs((got - want) / want)) <= 1e-12
+
+
+def test_delta_path_calls_no_polygamma(monkeypatch):
+    # delta_n, log_g1_deriv and the LCM margins sum powers of x/(x+a+j), and
+    # at the removable point x = 0 powers of 1/(a+j): no psi of order >= 1
+    calls = []
+
+    def counted(n, x):
+        calls.append(n)
+        return polygamma(n, x)
+
+    monkeypatch.setattr(families, "polygamma", counted)
+    xs = [-0.5, 0.0, 0.05, 0.3, 2.5, 40.0]
+    for a in (1.0, 1.5, 2.0):
+        for n in (1, 6, 30, 170):
+            for fn in (delta_n, log_g1_deriv):
+                for x in [*xs, np.array(xs)]:
+                    try:
+                        fn(a, n, x)
+                    except (OverflowError, DomainError):
+                        pass
+        _lcm_margins(a, np.array([x for x in xs if x or a != 1.5]), 6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("a, n, x", [(1.0, 1, 1e-300), (2.0, 6, 1e-50), (2.0, 30, 1e-12),
+                                     (1.0, 170, 0.01), (2.0, 170, -0.01)])
+def test_log_g1_deriv_where_delta_n_underflows(a, n, x):
+    # at a in {1, 2}, delta_n = sum_{k>n} x^k zeta(k, x+a)/k leaves the double
+    # range as x -> 0 while n! delta_n/x^(n+1) tends to n! zeta(n+1, a)/(n+1);
+    # the tail's error grows by about an ulp per order
+    with mpmath.workdps(30):
+        am, xm = mpmath.mpf(a), mpmath.mpf(x)
+        want = (-1) ** n * mpmath.factorial(n) * mpmath.fsum(
+            xm ** (k - n - 1) * mpmath.zeta(k, xm + am) / k for k in range(n + 1, n + 200))
+    for got in (log_g1_deriv(a, n, x), log_g1_deriv(a, n, np.array([x]))[0]):
+        assert float(abs((got - want) / want)) <= max(1e-14, n * 2.0**-53)
 
 
 # Both sides of the tail/direct switch at a in {1, 2}: x/(x+a) up to 0.82
