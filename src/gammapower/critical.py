@@ -11,7 +11,9 @@ Each critical point is the root of a transcendental equation:
 
 Brackets come from a geometric expansion off the left endpoint (first probe
 offset 1e-6, growth factor 2, capped at 1e6); the roots are then refined by
-bisection with a safeguarded secant step.  All solves are deterministic.
+Brent's method (inverse quadratic and secant interpolation safeguarded by
+bisection) from the f-values the expansion already has.  Each point reports its
+refinement iterations and its evaluations of f.  All solves are deterministic.
 """
 
 from __future__ import annotations
@@ -78,52 +80,80 @@ class CriticalPoint:
     value: float
     residual: float
     bracket: tuple[float, float]
+    iterations: int
+    f_evals: int
 
 
-def _bisect_secant(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f in [lo, hi], where f(lo) and f(hi) have opposite signs.
+def _brent(f: Callable[[float], float], lo: float, hi: float, flo: float,
+           fhi: float) -> tuple[float, float, int]:
+    """Root t of f in [lo, hi] from f(lo) = flo and f(hi) = fhi of opposite signs.
 
-    Bisection with a secant proposal accepted only when it falls inside the
-    current bracket; derivative-free and deterministic.
+    Brent's zeroin: inverse quadratic or secant interpolation, falling back to
+    bisection whenever the step leaves the bracket or shrinks it too slowly.
+    Stops when f(t) == 0 or the bracket is within 4 ulp of t, after at most
+    _MAX_ITER iterations of one f-evaluation each.  Returns (t, f(t), iterations).
     """
-    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        return lo
+        return lo, flo, 0
     if fhi == 0.0:
-        return hi
+        return hi, fhi, 0
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(lo, hi, fhi)
+    # b is the best estimate, c the other end of the bracket, a the previous b;
+    # e is the step before last, which an interpolated step must halve
+    a, fa, b, fb, c, fc = lo, flo, hi, fhi, lo, flo
+    d = e = b - a
     for it in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        # secant proposal on odd iterations only; unconditional bisection on
-        # even ones keeps the bracket shrinking when the secant stagnates
-        if it % 2 == 1 and fhi != flo:
-            sec = hi - fhi * (hi - lo) / (fhi - flo)
-            if lo < sec < hi:
-                mid = sec
-        fmid = f(mid)
-        if fmid == 0.0 or hi - lo <= 4.0 * math.ulp(mid):
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * math.ulp(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b, fb, it
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb == 0.0:
+            return b, fb, it + 1
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return b, fb, _MAX_ITER
 
 
-def _expand_bracket(f: Callable[[float], float], left: float) -> tuple[float, float]:
-    """First sign-change bracket of f on probes left + 1e-6 * 2^k."""
-    offset = _FIRST_OFFSET
+def _expand_bracket(f: Callable[[float], float],
+                    left: float) -> tuple[float, float, float, float, int]:
+    """First sign-change bracket (lo, hi) of f on probes left + 1e-6 * 2^k.
+
+    Returns (lo, hi, f(lo), f(hi), probes taken).
+    """
+    offset, probes = _FIRST_OFFSET, 1
     x_prev = left + offset
     f_prev = f(x_prev)
     if f_prev == 0.0:
-        return (x_prev, x_prev)
+        return x_prev, x_prev, f_prev, f_prev, probes
     while offset <= _OFFSET_CAP:
         offset *= _GROWTH
+        probes += 1
         x = left + offset
         fx = f(x)
         if fx == 0.0 or (fx > 0.0) != (f_prev > 0.0):
-            return (x_prev, x)
+            return x_prev, x, f_prev, fx, probes
         x_prev, f_prev = x, fx
     raise BracketError(left, x_prev, f_prev)
 
@@ -135,14 +165,20 @@ def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
 
     The bracket is `bracket`, or else the first sign change of f off `left`.
     The residual is |f(t)| / max(1, |psi_term(t)|), the equation's psi term
-    setting its scale; above 1e-10 the solve has not converged.
+    setting its scale; above 1e-10 the solve has not converged.  `f_evals`
+    counts every evaluation of f, bracket ends and expansion probes included.
     """
-    tb = bracket or _expand_bracket(f, left)
-    t = _bisect_secant(f, *tb)
-    residual = abs(f(t)) / max(1.0, abs(psi_term(t)))
+    if bracket is None:
+        lo, hi, flo, fhi, evals = _expand_bracket(f, left)
+    else:
+        (lo, hi), evals = bracket, 2
+        flo, fhi = f(lo), f(hi)
+    t, ft, iterations = _brent(f, lo, hi, flo, fhi)
+    residual = abs(ft) / max(1.0, abs(psi_term(t)))
     if residual > _RESIDUAL_TOL:
         raise ArithmeticError(f"{kind.value} residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
-    return CriticalPoint(kind, a, t - shift, residual, (tb[0] - shift, tb[1] - shift))
+    return CriticalPoint(kind, a, t - shift, residual, (lo - shift, hi - shift), iterations,
+                         evals + iterations)
 
 
 def find_x0(a: float) -> CriticalPoint:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammapower
+from gammapower import critical
 from gammapower.certify import claim_ids
 from gammapower.cli import FN_CATALOG, main
 from gammapower.specfun import EULER_GAMMA
@@ -148,6 +149,16 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["kind"] == "x3"
         assert payload["residual"] <= 1e-10
+
+    def test_json_carries_counts(self, capsys):
+        for kind, a, points in (("x3", "1.5", [critical.find_x3(1.5)]),
+                                ("x1x2", "0.5", critical.find_x1_x2(0.5))):
+            code, out, _ = run(capsys, "solve", "--kind", kind, "--a", a)
+            payload = json.loads(out)
+            got = [payload] if kind == "x3" else [payload["x1"], payload["x2"]]
+            assert code == 0
+            assert [(d["iterations"], d["f_evals"]) for d in got] == [
+                (p.iterations, p.f_evals) for p in points]
 
     def test_threshold_g3_exact(self, capsys):
         code, out, _ = run(capsys, "solve", "--kind", "threshold-g3", "--a", "2")

@@ -1,11 +1,14 @@
 """Tests for critical-point solving and thresholds."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+import gammapower.critical as critical
 from gammapower.critical import (
+    _MAX_ITER,
     A_STAR,
     BracketError,
     CriticalKind,
@@ -17,6 +20,7 @@ from gammapower.critical import (
     find_x4,
     threshold_g2_increasing,
     threshold_g3_increasing,
+    _brent,
 )
 from gammapower.families import h1, h2, h4, h21, h41_prime
 
@@ -169,3 +173,98 @@ class TestContinuity:
         assert all(v > limit for v in values)
         assert values == sorted(values, reverse=True)
         assert values[-1] - limit < 0.02
+
+
+class TestBrackets:
+    # the expansion's probes, and so every reported bracket, are fixed: these
+    # are the exact brackets of the bisection-secant solver Brent replaced
+    @pytest.mark.parametrize("solver, a, bracket", [
+        (find_x0, -1.0, (2.0485759999999997, 3.097152)),
+        (find_x3, 1.5, (0.5242879999999999, 1.0485759999999997)),
+        (find_x4, 1.5, (2.097152, 4.194304)),
+        (find_t4_tilde, 1.5, (2.5485759999999997, 3.597152)),
+    ])
+    def test_pinned(self, solver, a, bracket):
+        assert solver(a).bracket == bracket
+
+    def test_pinned_x1_x2(self):
+        p1, p2 = find_x1_x2(0.5)
+        assert (p1.bracket, p2.bracket) == ((-0.4999995, 0.0), (0.524288, 1.048576))
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("name, solver, a", [
+        ("h1", find_x0, -1.0), ("h21", find_x3, 1.5), ("h41", find_x4, 1.5),
+        ("h41_prime", find_t4_tilde, 1.5),
+    ])
+    def test_f_evals_counts_every_h_call(self, monkeypatch, name, solver, a):
+        calls = []
+        h = getattr(critical, name)
+        monkeypatch.setattr(critical, name, lambda *args: calls.append(args) or h(*args))
+        p = solver(a)
+        assert p.f_evals == len(calls)
+        assert 0 < p.iterations < p.f_evals
+
+    def test_given_bracket_ends_counted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(critical, "h1", lambda *args: calls.append(args) or h1(*args))
+        p1, p2 = find_x1_x2(0.5)
+        assert p1.f_evals == p1.iterations + 2
+        assert p1.f_evals + p2.f_evals == len(calls)
+
+    def test_at_most_40_per_root(self):
+        rng = random.Random(10)
+        kinds = {
+            "x0": (find_x0, lambda u: -4.0 * u),
+            "x1x2": (find_x1_x2, lambda u: 4.0 * u if u < 0.25 else 2.0 + 4.0 * (u - 0.25)),
+            "x3": (find_x3, lambda u: 1.0 + u),
+            "x4": (find_x4, lambda u: A_STAR + (2.0 - A_STAR) * u),
+            "t4tilde": (find_t4_tilde, lambda u: A_STAR + (2.0 - A_STAR) * u),
+        }
+        for solver, a_of in kinds.values():
+            for _ in range(200):
+                a = a_of(rng.random())
+                if a in (0.0, 1.0, 2.0):
+                    continue
+                got = solver(a)
+                for p in got if isinstance(got, tuple) else (got,):
+                    assert p.f_evals <= 40, (p.kind, a, p.f_evals)
+
+
+class TestBrent:
+    @staticmethod
+    def run(f, lo, hi):
+        calls = []
+        t, ft, iterations = _brent(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi))
+        assert len(calls) == iterations <= _MAX_ITER
+        assert ft == f(t)
+        return t, iterations
+
+    def test_step_without_zero_ends_within_4_ulp(self):
+        step = 1.2345678901234567
+        t, _ = self.run(lambda x: -1.0 if x < step else 1.0, 0.0, 1e6)
+        assert abs(t - step) <= 4.0 * math.ulp(t)
+
+    @pytest.mark.parametrize("lo, hi, root", [(1.0, 2.0, 1.0), (0.0, 1.0, 1.0)])
+    def test_exact_zero_at_an_end(self, lo, hi, root):
+        assert self.run(lambda x: x - 1.0, lo, hi) == (root, 0)
+
+    def test_same_signs_raise_bracket_error(self):
+        with pytest.raises(BracketError) as info:
+            _brent(lambda x: x * x + 1.0, -1.0, 3.0, 2.0, 10.0)
+        assert (info.value.probe, info.value.sign) == (3.0, 1.0)
+        with pytest.raises(BracketError) as info:
+            _brent(lambda x: -1.0, 0.0, 1.0, -1.0, -1.0)
+        assert (info.value.probe, info.value.sign) == (1.0, -1.0)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: (x - 1.0) ** 3,  # a triple root: interpolation only creeps
+        lambda x: x - 1.0 if x > 1.0 else -1e-300,  # flat on one side
+    ])
+    def test_flat_f_stays_within_max_iter(self, f):
+        t, _ = self.run(f, 0.0, 1e6)
+        assert abs(t - 1.0) < 1e-12
+
+    def test_simple_root_in_few_iterations(self):
+        t, iterations = self.run(lambda x: math.cos(x) - x, 0.0, 1.0)
+        assert abs(math.cos(t) - t) <= 2e-16 and iterations <= 8
