@@ -21,9 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .specfun import EULER_GAMMA, MAX_ORDER, PI, ZETA3, log_gamma
+from .specfun import EULER_GAMMA, MAX_ORDER, PI, ZETA3, log_gamma, np
 from . import families as fam
 from . import critical
 
@@ -211,7 +209,7 @@ class ClaimReport:
 
 # (where, margins, required): an (N, k) array of sample locations, N rows of
 # margins, and the relation each margin column checks (one string for all).
-Block = tuple[np.ndarray, object, "str | Sequence[str]"]
+Block = tuple["np.ndarray", object, "str | Sequence[str]"]
 
 
 def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
@@ -254,7 +252,7 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
 _DIRECTION_SIGN = {"increasing": 1.0, "decreasing": -1.0}
 
 
-ArrayFn = Callable[[np.ndarray], np.ndarray]
+ArrayFn = Callable[["np.ndarray"], "np.ndarray"]
 
 
 def _monotone(fn: ArrayFn, plan: SamplePlan, direction: str,

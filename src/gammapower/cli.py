@@ -25,8 +25,6 @@ import sys
 from dataclasses import asdict, replace
 from typing import Callable
 
-import numpy as np
-
 from .specfun import (
     DomainError,
     EULER_GAMMA,
@@ -34,6 +32,7 @@ from .specfun import (
     ZETA3,
     digamma,
     log_gamma,
+    np,
     polygamma,
 )
 from . import families as fam
@@ -82,10 +81,15 @@ def _params(ns) -> fam.Params:
 def _value(ns, x):
     """FN_CATALOG[ns.fn] at x, a float or an ndarray; a non-finite value is a domain error."""
     v = FN_CATALOG[ns.fn](ns, x)
-    bad = np.ravel(x)[~np.isfinite(np.ravel(v))]
-    if bad.size:
-        raise DomainError(f"{ns.fn} is not finite at x={bad[0]}")
-    return v
+    if type(v) is float:
+        if math.isfinite(v):
+            return v
+    else:
+        bad = np.ravel(x)[~np.isfinite(np.ravel(v))]
+        if not bad.size:
+            return v
+        x = bad[0]
+    raise DomainError(f"{ns.fn} is not finite at x={x}")
 
 
 def count(text: str) -> int:

@@ -165,8 +165,11 @@ def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
 
     The bracket is `bracket`, or else the first sign change of f off `left`.
     The residual is |f(t)| / max(1, |psi_term(t)|), the equation's psi term
-    setting its scale; above 1e-10 the solve has not converged.  `f_evals`
-    counts every evaluation of f, bracket ends and expansion probes included.
+    setting its scale.  The solve has not converged when the residual exceeds
+    1e-10 and |f(t)| also exceeds 4 ulp(t) |f'|, the most a root inside
+    Brent's final 4-ulp bracket can leave where f is steep; f' is the secant
+    slope across the bracket ends.  `f_evals` counts every evaluation of f,
+    bracket ends and expansion probes included.
     """
     if bracket is None:
         lo, hi, flo, fhi, evals = _expand_bracket(f, left)
@@ -175,7 +178,8 @@ def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
         flo, fhi = f(lo), f(hi)
     t, ft, iterations = _brent(f, lo, hi, flo, fhi)
     residual = abs(ft) / max(1.0, abs(psi_term(t)))
-    if residual > _RESIDUAL_TOL:
+    # residual > 0 implies t is not a bracket end of f = 0, so hi > lo
+    if residual > _RESIDUAL_TOL and abs(ft) > 4.0 * math.ulp(t) * abs(fhi - flo) / (hi - lo):
         raise ArithmeticError(f"{kind.value} residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     return CriticalPoint(kind, a, t - shift, residual, (lo - shift, hi - shift), iterations,
                          evals + iterations)

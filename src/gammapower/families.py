@@ -48,9 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-import numpy as np
-
-from .specfun import MAX_ORDER, DomainError, digamma, log_gamma, polygamma, EULER_GAMMA
+from .specfun import MAX_ORDER, DomainError, digamma, log_gamma, polygamma, EULER_GAMMA, np
 from .specfun import _UNIT_ROUNDOFF, _edge, _remainder
 
 __all__ = [
@@ -371,7 +369,7 @@ def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
     """
     edge, reach = _edge(n + 1), 4.0 * abs(x) if tail else 0.0
     u, p = (1.0, x) if scaled else (x, 1.0)
-    if not isinstance(x, np.ndarray):  # a float: lists beat numpy's per-call cost
+    if type(x) is float or not isinstance(x, np.ndarray):  # lists beat numpy's per-call cost
         shift = math.ceil(max(reach - a - x, edge - a - x, 0.0))
         r = [u / (x + (a + j)) for j in range(shift)]
         power, add, top = (lambda v: list(map(operator.mul, v, r))), sum, float
@@ -413,7 +411,7 @@ def _deltas(a: float, n: int, x, scaled: bool = False):
     rows.  The caller checks the domain and runs an ndarray under np.errstate.
     """
     tail = _tail_rows(a, x)
-    if not isinstance(x, np.ndarray):
+    if type(x) is float or not isinstance(x, np.ndarray):
         return _delta_side(a, n, x, tail, scaled and tail)
     flat, out = x.ravel(), np.empty((n, x.size))
     for side, rows in ((True, np.flatnonzero(tail)), (False, np.flatnonzero(~tail))):
@@ -446,11 +444,19 @@ def log_g1_deriv(a: float, n: int, x):
     That is (-1)^n n! delta_n(x) / x^{n+1}, and at the removable point x = 0
     (a in {1, 2} only) -psi^(n)(a)/(n+1).
     """
-    return (-1.0) ** n * _lcm_margins(a, x, n, "log_g1_deriv")[..., -1]
+    return (-1.0) ** n * _margin_orders(a, x, n, "log_g1_deriv")[-1]
 
 
 def _lcm_margins(a: float, x, max_order: int, name: str = "LCM margins") -> np.ndarray:
     """(-1)^n (log g1)^(n)(x) = n! delta_n(x)/x^(n+1), n = 1..max_order, in the last axis.
+
+    x is an ndarray; the orders come from :func:`_margin_orders`.
+    """
+    return np.stack(_margin_orders(a, x, max_order, name), axis=-1)
+
+
+def _margin_orders(a: float, x, max_order: int, name: str) -> list:
+    """[n! delta_n(x)/x^(n+1) for n = 1..max_order], each a float or an ndarray like x.
 
     One :func:`_deltas` pass, with x = m 2^e (1 <= |m| < 2), times the running
     product of k/m (below n!), 1/m and an exact 2^(-(n+1) e): finite wherever
@@ -462,7 +468,7 @@ def _lcm_margins(a: float, x, max_order: int, name: str = "LCM margins") -> np.n
     if not 1 <= max_order <= MAX_ORDER:
         raise DomainError(f"{name} requires 1 <= n <= {MAX_ORDER}, got {max_order}")
     _require(name, a, x, -a, zero=a in (1.0, 2.0))
-    lib = np if isinstance(x, np.ndarray) else math
+    lib = math if type(x) is float or not isinstance(x, np.ndarray) else np
     frac, exp2 = lib.frexp(x)
     m, shift, scaled = 2.0 * frac, 1 - exp2, a in (1.0, 2.0)
     keep = 1 - (scaled & _tail_rows(a, x))  # scaled rows come as delta_n / x^(n+1)
@@ -472,8 +478,7 @@ def _lcm_margins(a: float, x, max_order: int, name: str = "LCM margins") -> np.n
         for k, d in enumerate(_deltas(a, max_order, x, scaled), 1):
             scale = scale * (k / m)
             margins.append(lib.ldexp(scale / m * d, (k + 1) * shift))
-    margins = np.stack(margins, axis=-1) if lib is np else np.array(margins)
-    if lib is np and not np.isfinite(margins).all():
+    if lib is np and not all(np.isfinite(v).all() for v in margins):
         raise OverflowError(f"{name}: a value exceeds the double range")
     return margins
 

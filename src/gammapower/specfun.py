@@ -18,6 +18,10 @@ the scalar path to rounding.  A float keeps the scalar loop and its cost:
 the dispatch tests `type(x) is float` first, which is cheaper than the
 isinstance check it skips.
 
+numpy is imported on first use, through the module-level `np` that
+families, certify and cli share: a float path never touches it, so scalar
+work runs in a process that never loads numpy.
+
 Every public function returns a finite value or raises: DomainError for an
 argument outside (0, inf), nan and inf included, or an order outside
 1..MAX_ORDER, and OverflowError when the value exceeds the double range.
@@ -29,8 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 __all__ = [
     "DomainError",
@@ -44,6 +46,25 @@ __all__ = [
     "check_polygamma_bounds",
     "psi2_theta",
 ]
+
+
+class _Numpy:
+    """numpy, imported on the first attribute lookup.
+
+    `import numpy` holds the import lock, so a thread that arrives while
+    another is loading numpy waits for the whole module; each attribute is
+    then cached here, so later lookups are plain reads.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 class DomainError(ValueError):
@@ -185,7 +206,8 @@ def polygamma(n: int, x: float | np.ndarray) -> float | np.ndarray:
         overflow = value == math.inf
     if overflow:
         # |psi^(n)| decreases in x, so the smallest x overflows first
-        raise OverflowError(f"psi^({n})({np.min(x)}) exceeds the double range")
+        raise OverflowError(f"psi^({n})({x if type(x) is float else np.min(x)}) "
+                            "exceeds the double range")
     return value if n % 2 == 1 else -value
 
 

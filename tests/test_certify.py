@@ -316,7 +316,7 @@ def test_catalog_matches_expected_verdicts():
     for r in reports:
         d, want = r.to_dict(), golden[r.claim_id]
         assert (d["strict"], d["n_witnesses"]) == (want["strict"], want["n_witnesses"]), r.claim_id
-        assert d["min_margin"] == pytest.approx(want["min_margin"], rel=1e-9), r.claim_id
+        assert d["min_margin"] == pytest.approx(want["min_margin"], rel=1e-9, abs=0), r.claim_id
 
 
 def test_catalog_evaluates_whole_grids(monkeypatch):

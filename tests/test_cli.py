@@ -34,6 +34,14 @@ def run_quiet(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`, importing gammapower from this checkout."""
+    src = str(Path(gammapower.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 class TestEval:
     def test_psi_at_1(self, capsys):
         code, out, _ = run(capsys, "eval", "--fn", "psi", "--x", "1")
@@ -170,8 +178,9 @@ class TestSolve:
         assert code == 2
         assert "1 < a < 2" in err
 
-    def test_unconverged_exit_2(self, capsys):
-        code, out, err = run(capsys, "solve", "--kind", "x0", "--a=-1e6")
+    def test_unconverged_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(critical, "_MAX_ITER", 2)  # Brent stops short of the root
+        code, out, err = run(capsys, "solve", "--kind", "x3", "--a", "1.5")
         assert (code, out) == (2, "")
         assert "residual" in err
 
@@ -181,11 +190,7 @@ class TestSolve:
         assert "kept sign +1 up to the last probe t=" in err
 
     def test_main_module_exit_2_without_traceback(self):
-        src = str(Path(gammapower.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "gammapower.cli", "solve", "--kind", "x0", "--a=-1e6"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = fresh("-m", "gammapower.cli", "solve", "--kind", "x3", "--a=1.000000000001")
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -210,11 +215,7 @@ class TestVerify:
     def test_huge_a_prints_no_numpy_warning(self):
         # at a = 1e300 the far pairs of ineq3 overflow inside numpy; the claim
         # is still certified, and nothing reaches stderr
-        src = str(Path(gammapower.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "gammapower.cli", "verify", "--claim", "ineq3", "--a=1e300"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = fresh("-m", "gammapower.cli", "verify", "--claim", "ineq3", "--a=1e300")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "1/1 certified" in proc.stdout
 
@@ -398,13 +399,77 @@ class TestArgparseBehavior:
                   "--points", "3"]]
         monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width
         in_process = [run_quiet(*argv)[:2] for argv in argvs]
-        src = str(Path(gammapower.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        fresh = [subprocess.run([sys.executable, "-m", "gammapower.cli", *argv],
-                                capture_output=True, text=True, env=env, timeout=60)
-                 for argv in argvs]
+        procs = [fresh("-m", "gammapower.cli", *argv) for argv in argvs]
         assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0]
-        assert in_process == [(p.returncode, p.stdout) for p in fresh]
+        assert in_process == [(p.returncode, p.stdout) for p in procs]
+
+
+# A fresh interpreter that runs each argv of argv[1] (JSON) through main and
+# prints, per argv, its exit code, its stdout and whether numpy was loaded.
+_VERBS_SCRIPT = """
+import contextlib, io, json, sys
+import gammapower
+from gammapower.cli import main
+rows = [["import gammapower", 0, "", "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    rows.append([argv, code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(rows))
+"""
+
+# Four threads whose first call is each a numpy-using claim, released together
+# in a fresh interpreter, so that all of them race to load numpy.
+_THREADS_SCRIPT = """
+import json, sys, threading
+from gammapower.certify import run_claims
+assert "numpy._core" not in sys.modules  # numpy has not run yet
+sys.setswitchinterval(1e-6)
+claims = ["constants", "ineq1", "thm1.1.mono", "constants"]
+start, results = threading.Barrier(len(claims)), {}
+def work(i):
+    start.wait()
+    try:
+        results[i] = [r.verdict.value for r in run_claims(claims[i])]
+    except Exception as exc:
+        results[i] = repr(exc)
+threads = [threading.Thread(target=work, args=(i,)) for i in range(len(claims))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=50)
+print(json.dumps([results.get(i, "unfinished") for i in range(len(claims))]))
+"""
+
+
+class TestLazyNumpy:
+    """numpy loads on the first array use: scalar verbs run without it."""
+
+    def test_scalar_verbs_leave_numpy_unloaded(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width
+        scalar = [["solve", "--kind", k, "--a", a] for k, a in (
+            ("x0", "-0.5"), ("x1x2", "0.5"), ("x3", "1.5"), ("x4", "1.5"), ("t4tilde", "1.5"),
+            ("threshold-g2", "1.5"), ("threshold-g3", "1.5"))]
+        scalar += [["eval", "--fn", fn, "--a", a, "--c", "0.5", "--n", "3", "--x", x]
+                   for fn in sorted(FN_CATALOG) for a, x in (("1.5", "0.7"), ("1", "0.01"))]
+        scalar += [["constants"], ["list-claims"], ["--help"]]
+        loading = [["verify", "--claim", "all", "--format", "json"],
+                   ["eval", "--fn", "h21", "--a", "0.5", "--x-min", "1", "--x-max", "700",
+                    "--points", "50"]]
+        proc = fresh("-c", _VERBS_SCRIPT, json.dumps(scalar + loading))
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert [loaded for *_, loaded in rows] == [False] * (1 + len(scalar)) + [True, True]
+        for argv, code, out, _ in rows[1:]:
+            assert (code, out) == run_quiet(*argv)[:2], argv
+
+    def test_threads_racing_to_load_numpy_all_succeed(self):
+        for _ in range(4):
+            proc = fresh("-c", _THREADS_SCRIPT)
+            assert proc.returncode == 0, proc.stderr
+            results = json.loads(proc.stdout)
+            assert all(type(r) is list and set(r) == {"certified"} for r in results), results
 
 
 # Any float, weighted towards the edges: nan, +-inf, subnormals, +-1e300, 0.

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,6 +41,26 @@ class TestX0:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             find_x0(0.5)
+
+    @pytest.mark.parametrize("a", [-1000.0, -1e4])
+    def test_steep_root_matches_mpmath(self, a):
+        # h1' ~ -a here: the root within an ulp leaves |h1| above 1e-10
+        p = find_x0(a)
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+            root = mpmath.findroot(lambda x: -x * mpmath.digamma(x + am) + mpmath.loggamma(x + am),
+                                   p.value)
+        assert abs(p.value - root) <= 2 * math.ulp(p.value)
+        assert p.residual == abs(h1(a, p.value))  # the psi term x psi(x+a) is below 1
+
+    def test_moved_root_still_raises(self, monkeypatch):
+        def moved(f, lo, hi, flo, fhi):
+            t = _brent(f, lo, hi, flo, fhi)[0] * (1.0 + 1e-9)
+            return t, f(t), 0
+
+        monkeypatch.setattr(critical, "_brent", moved)
+        with pytest.raises(ArithmeticError, match="x0 residual"):
+            find_x0(-1000.0)
 
 
 class TestX1X2:

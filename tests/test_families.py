@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammapower.families import (
@@ -143,15 +143,16 @@ _ARRAY_FNS = {
 # Domains reaching below 0: at every a, and at a in {1, 2} only (x = 0 included).
 _NEGATIVE_X = {"h1"} | {f"delta_n.{n}" for n in _ORDERS}
 _NEGATIVE_X_AT_1_2 = {"log_g1", "g1"} | {f"log_g1_deriv.{n}" for n in _ORDERS}
-# h31, h41 and h41_prime cancel: near t = 0 and at large t their terms exceed
-# the value up to ~1e3-fold.  specfun's array and float sums differ by up to
-# an ulp (numpy's vectorised pow against libm's, on ~5% of arguments), so for
-# these three the 1e-14 is relative to the largest term.  So do delta_n and
-# log_g1_deriv at high orders on the direct side: there delta_n tends to
+# h21, h31, h41 and h41_prime cancel: near t = 0 and at large t their terms
+# exceed the value up to ~2e3-fold.  specfun's array and float sums differ by
+# up to an ulp (numpy's vectorised pow against libm's, on ~5% of arguments),
+# so for these the 1e-14 is relative to the largest term.  So do delta_n and
+# log_g1_deriv on the direct side, at every order: there delta_n tends to
 # 0 (a in {1, 2}) or converges slowly (large x) while its terms stay O(1)
 # or grow with x, and psi's array and float values differ by an ulp on
 # ~0.1% of arguments (numpy's log against libm's).
 _TERMS = {
+    "h21": lambda a, t: [(t - a) ** 2 * polygamma(1, t), (t - a) * digamma(t), log_gamma(t)],
     "h31": lambda a, t: [(t - a) ** 3 * polygamma(2, t), (t - a) ** 2 * polygamma(1, t),
                          2.0 * (t - a) * digamma(t), 2.0 * log_gamma(t)],
     "h41": lambda a, t: [t * (t - a) ** 2 * polygamma(1, t), (t * t - a * a) * digamma(t),
@@ -182,17 +183,25 @@ def _delta_terms(n, deriv):
 
 
 _TERMS.update({f"{name}.{n}": _delta_terms(n, name == "log_g1_deriv")
-               for name in ("delta_n", "log_g1_deriv") for n in _ORDERS if n > 6})
+               for name in ("delta_n", "log_g1_deriv") for n in _ORDERS})
+
+# Where the two paths once split by more than 1e-14 of the value alone:
+# h21 at a = 0.5, t = 327.77 by 5.0e-13 relative, and log_g1_deriv at order
+# 6, a = 2, x = -0.92478626544277 (from 536.6 on the negative side) by 1.07e-14.
+_SPLIT_POINTS = [("h21", 0.5, 327.7728265418133),
+                 ("log_g1_deriv.6", 2.0, 536.6068672786173 * 2.0 / 1e3 - 2.0 * 0.999)]
 
 
 @pytest.mark.parametrize("name", _ARRAY_FNS)
 @given(a=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.7]),
        xs=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=30),
        negative=st.booleans())
+@example(a=0.5, xs=[327.7728265418133], negative=False)
+@example(a=2.0, xs=[536.6068672786173], negative=True)
 @settings(max_examples=40, deadline=None)
 def test_array_path_matches_scalar_path(name, a, xs, negative):
     fn = _ARRAY_FNS[name]
-    if "." in name and name in _TERMS:  # orders 30..170: up to ~1 ms a float call
+    if name.split(".")[-1] in ("30", "120", "170"):  # up to ~1 ms a float call
         xs = xs[:8]
     if negative and (name in _NEGATIVE_X or name in _NEGATIVE_X_AT_1_2 and a in (1.0, 2.0)):
         xs = [x * a / 1e3 - a * 0.999 for x in xs]  # onto (-a, 0.001 a]
@@ -208,6 +217,21 @@ def test_array_path_matches_scalar_path(name, a, xs, negative):
     if name in _TERMS:
         scale = np.maximum(scale, [max(map(abs, _TERMS[name](a, x))) for x in xs])
     assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("name, a, x", _SPLIT_POINTS)
+def test_split_points_match_mpmath(name, a, x):
+    # both paths within 1e-14 of the largest term of mpmath's value
+    with mpmath.workdps(40):
+        if name == "h21":
+            t, u = mpmath.mpf(x), mpmath.mpf(x) - a
+            want = u * u * mpmath.psi(1, t) - u * mpmath.digamma(t) + mpmath.loggamma(t)
+        else:
+            want = _log_g1_derivs_mpmath(a, x)[5]
+    scale = max(1.0, abs(float(want)), *map(abs, _TERMS[name](a, x)))
+    fn = _ARRAY_FNS[name]
+    for got in (fn(a, x), fn(a, np.array([x]))[0]):
+        assert float(abs(got - want)) <= 1e-14 * scale
 
 
 # a = 1.5: x = 0 is outside every domain but h1's and delta_n's, and -1.5 = -a
