@@ -9,11 +9,17 @@ Each critical point is the root of a transcendental equation:
     t4~        :  t(t-a)^2 psi''(t) + 2(t-a)^2 psi'(t) + log Gamma(t)
                     = (t-a) psi(t)                                (root of h41')
 
-Brackets come from a geometric expansion off the left endpoint (first probe
-offset 1e-6, growth factor 2, capped at 1e6); the roots are then refined by
-Brent's method (inverse quadratic and secant interpolation safeguarded by
-bisection) from the f-values the expansion already has.  Each point reports its
-refinement iterations and its evaluations of f.  All solves are deterministic.
+Brackets lie on a fixed ladder of probes off the left endpoint, rung k at
+offset 1e-6 * 2^k for k = 0..40 (the top rung is the first offset past 1e6).
+By the paper's theorems each h has exactly one sign change right of the left
+endpoint: h1 decreases for a <= 0 and has exactly one root right of 0, h2 has
+one minimum at x3 and h4 one at x4, and h41' (the derivative of h41) changes
+sign once, at t4~.  So bisection over the rung index finds the first sign
+change that walking up the ladder rung by rung would find, in about 7 probes
+instead of up to 41.  The roots are then refined by Brent's method
+(inverse quadratic and secant interpolation safeguarded by bisection) from the
+f-values the bracket search already has.  Each point reports its refinement
+iterations and its evaluations of f.  All solves are deterministic.
 """
 
 from __future__ import annotations
@@ -46,8 +52,7 @@ A_STAR = (3.0 + math.sqrt(159.0)) / 12.0
 
 _RESIDUAL_TOL = 1e-10
 _FIRST_OFFSET = 1e-6
-_GROWTH = 2.0
-_OFFSET_CAP = 1e6
+_TOP_RUNG = 40  # 1e-6 * 2^40 ~ 1.1e6, the first rung offset past 1e6
 _MAX_ITER = 200
 
 
@@ -138,24 +143,59 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, flo: float,
 
 def _expand_bracket(f: Callable[[float], float],
                     left: float) -> tuple[float, float, float, float, int]:
-    """First sign-change bracket (lo, hi) of f on probes left + 1e-6 * 2^k.
+    """First sign-change bracket (lo, hi) of f on the rungs left + 1e-6 * 2^k.
 
-    Returns (lo, hi, f(lo), f(hi), probes taken).
+    The ladder starts at the lowest rung k <= 40 that lies right of `left` (k = 0
+    unless left is so large that left + 1e-6 rounds onto it) and ends at k = 40.
+    f has one sign change on (left, inf), by the theorems behind each critical
+    point, so "f(rung k) is zero or lacks the bottom rung's sign" is false, then
+    true, up the ladder: bisection over k finds the same adjacent rungs as
+    walking up one rung at a time.  Returns (lo, hi, f(lo), f(hi), probes taken); a
+    zero at the bottom rung is returned as (x, x, 0, 0, 1).
     """
-    offset, probes = _FIRST_OFFSET, 1
-    x_prev = left + offset
-    f_prev = f(x_prev)
-    if f_prev == 0.0:
-        return x_prev, x_prev, f_prev, f_prev, probes
-    while offset <= _OFFSET_CAP:
-        offset *= _GROWTH
-        probes += 1
-        x = left + offset
+    def rung(k: int) -> float:
+        return left + math.ldexp(_FIRST_OFFSET, k)
+
+    k_lo = next((k for k in range(_TOP_RUNG) if rung(k) > left), _TOP_RUNG)
+    x_lo = rung(k_lo)
+    f_lo = f(x_lo)
+    if f_lo == 0.0:
+        return x_lo, x_lo, f_lo, f_lo, 1
+    k_hi, x_hi = _TOP_RUNG, rung(_TOP_RUNG)
+    f_hi, probes = f(x_hi), 2
+    if f_hi != 0.0 and (f_hi > 0.0) == (f_lo > 0.0):
+        raise BracketError(left, x_hi, f_hi)
+    while k_hi - k_lo > 1:
+        k = (k_lo + k_hi) // 2
+        x = rung(k)
         fx = f(x)
-        if fx == 0.0 or (fx > 0.0) != (f_prev > 0.0):
-            return x_prev, x, f_prev, fx, probes
-        x_prev, f_prev = x, fx
-    raise BracketError(left, x_prev, f_prev)
+        probes += 1
+        if fx != 0.0 and (fx > 0.0) == (f_lo > 0.0):
+            k_lo, x_lo, f_lo = k, x, fx
+        else:
+            k_hi, x_hi, f_hi = k, x, fx
+    return x_lo, x_hi, f_lo, f_hi, probes
+
+
+def _slope(lo: float, hi: float, flo: float, fhi: float,
+           iterates: list[tuple[float, float]], t: float) -> float:
+    """|f'| near t: the secant across the last bracket over 4 ulp(t) wide.
+
+    Replays Brent's brackets from (lo, hi): each iterate (x, f(x)) replaces
+    the bracket end whose f has its sign.  The final bracket, within 4 ulp of
+    t, is skipped, since across it the rounding of f can swamp its slope.
+    """
+    width = 4.0 * math.ulp(t)
+    for x, fx in iterates:
+        if (fx > 0.0) == (flo > 0.0):
+            if abs(hi - x) <= width:
+                break
+            lo, flo = x, fx
+        else:
+            if abs(x - lo) <= width:
+                break
+            hi, fhi = x, fx
+    return abs(fhi - flo) / abs(hi - lo)
 
 
 def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
@@ -168,18 +208,27 @@ def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
     setting its scale.  The solve has not converged when the residual exceeds
     1e-10 and |f(t)| also exceeds 4 ulp(t) |f'|, the most a root inside
     Brent's final 4-ulp bracket can leave where f is steep; f' is the secant
-    slope across the bracket ends.  `f_evals` counts every evaluation of f,
-    bracket ends and expansion probes included.
+    slope across the last bracket Brent kept whose ends are over 4 ulp(t)
+    apart.  `f_evals` counts every evaluation of f, bracket ends and probes
+    included.
     """
     if bracket is None:
         lo, hi, flo, fhi, evals = _expand_bracket(f, left)
     else:
         (lo, hi), evals = bracket, 2
         flo, fhi = f(lo), f(hi)
-    t, ft, iterations = _brent(f, lo, hi, flo, fhi)
+    iterates: list[tuple[float, float]] = []
+
+    def f_kept(x: float) -> float:
+        fx = f(x)
+        iterates.append((x, fx))
+        return fx
+
+    t, ft, iterations = _brent(f_kept, lo, hi, flo, fhi)
     residual = abs(ft) / max(1.0, abs(psi_term(t)))
     # residual > 0 implies t is not a bracket end of f = 0, so hi > lo
-    if residual > _RESIDUAL_TOL and abs(ft) > 4.0 * math.ulp(t) * abs(fhi - flo) / (hi - lo):
+    if (residual > _RESIDUAL_TOL
+            and abs(ft) > 4.0 * math.ulp(t) * _slope(lo, hi, flo, fhi, iterates, t)):
         raise ArithmeticError(f"{kind.value} residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     return CriticalPoint(kind, a, t - shift, residual, (lo - shift, hi - shift), iterations,
                          evals + iterations)
