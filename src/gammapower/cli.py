@@ -46,6 +46,11 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _rows(xs: list[float], vs: list[float]) -> str:
+    """The lines "x,value" of an eval range, each number as _fmt writes it: one % a line."""
+    return "".join(map("%.17g,%.17g\n".__mod__, zip(xs, vs)))
+
+
 # name -> callable(args, x), for a float x or an ndarray of x
 FN_CATALOG: dict[str, Callable] = {
     "gamma_log": lambda ns, x: log_gamma(x),
@@ -203,7 +208,7 @@ def _run_eval(ns, out) -> int:
     else:
         xs = _grid(ns.x_min, ns.x_max, ns.points)
         vs = _value(ns, np.array(xs)).tolist()
-        text = "x,value\n" + "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, vs))
+        text = "x,value\n" + _rows(xs, vs)
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text)

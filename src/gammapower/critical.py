@@ -11,6 +11,8 @@ Each critical point is the root of a transcendental equation:
 
 Brackets lie on a fixed ladder of probes off the left endpoint, rung k at
 offset 1e-6 * 2^k for k = 0..40 (the top rung is the first offset past 1e6).
+x2 ~ a log a passes rung 40 for a > 84,679, so where rung 40 keeps the bottom
+rung's sign, x2's ladder goes on to the first rung past 2 a log a.
 By the paper's theorems each h has exactly one sign change right of the left
 endpoint: h1 decreases for a <= 0 and has exactly one root right of 0, h2 has
 one minimum at x3 and h4 one at x4, and h41' (the derivative of h41) changes
@@ -141,12 +143,13 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, flo: float,
     return b, fb, _MAX_ITER
 
 
-def _expand_bracket(f: Callable[[float], float],
-                    left: float) -> tuple[float, float, float, float, int]:
+def _expand_bracket(f: Callable[[float], float], left: float,
+                    top: int = _TOP_RUNG) -> tuple[float, float, float, float, int]:
     """First sign-change bracket (lo, hi) of f on the rungs left + 1e-6 * 2^k.
 
     The ladder starts at the lowest rung k <= 40 that lies right of `left` (k = 0
-    unless left is so large that left + 1e-6 rounds onto it) and ends at k = 40.
+    unless left is so large that left + 1e-6 rounds onto it) and ends at k = 40,
+    or, where f keeps its sign there, at k = `top`.
     f has one sign change on (left, inf), by the theorems behind each critical
     point, so "f(rung k) is zero or lacks the bottom rung's sign" is false, then
     true, up the ladder: bisection over k finds the same adjacent rungs as
@@ -163,6 +166,10 @@ def _expand_bracket(f: Callable[[float], float],
         return x_lo, x_lo, f_lo, f_lo, 1
     k_hi, x_hi = _TOP_RUNG, rung(_TOP_RUNG)
     f_hi, probes = f(x_hi), 2
+    if f_hi != 0.0 and (f_hi > 0.0) == (f_lo > 0.0) and top > _TOP_RUNG:
+        k_lo, x_lo, f_lo = k_hi, x_hi, f_hi  # the sign change lies past rung 40
+        k_hi, x_hi = top, rung(top)
+        f_hi, probes = f(x_hi), 3
     if f_hi != 0.0 and (f_hi > 0.0) == (f_lo > 0.0):
         raise BracketError(left, x_hi, f_hi)
     while k_hi - k_lo > 1:
@@ -200,10 +207,11 @@ def _slope(lo: float, hi: float, flo: float, fhi: float,
 
 def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
            psi_term: Callable[[float], float], left: float, shift: float,
-           bracket: tuple[float, float] | None = None) -> CriticalPoint:
+           bracket: tuple[float, float] | None = None, top: int = _TOP_RUNG) -> CriticalPoint:
     """Root t of f, reported with its bracket as t - shift.
 
-    The bracket is `bracket`, or else the first sign change of f off `left`.
+    The bracket is `bracket`, or else the first sign change of f off `left` on
+    the ladder up to rung `top`.
     The residual is |f(t)| / max(1, |psi_term(t)|), the equation's psi term
     setting its scale.  The solve has not converged when the residual exceeds
     1e-10 and |f(t)| also exceeds 4 ulp(t) |f'|, the most a root inside
@@ -213,7 +221,7 @@ def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
     included.
     """
     if bracket is None:
-        lo, hi, flo, fhi, evals = _expand_bracket(f, left)
+        lo, hi, flo, fhi, evals = _expand_bracket(f, left, top)
     else:
         (lo, hi), evals = bracket, 2
         flo, fhi = f(lo), f(hi)
@@ -252,9 +260,12 @@ def find_x1_x2(a: float) -> tuple[CriticalPoint, CriticalPoint]:
                                 f"a in [1, 2]), got a={a}")
     f, term = lambda x: h1(a, x), lambda x: x * digamma(x + a)
     # h1(-a+) = -inf while h1(0) = log Gamma(a) > 0: (-a, 0) brackets x1; h1(0) > 0
-    # and h1 -> -inf at infinity: x2 lies right of 0.
-    return (_solve(CriticalKind.X1, a, f, term, 0.0, 0.0, (-a + _FIRST_OFFSET * min(1.0, a), 0.0)),
-            _solve(CriticalKind.X2, a, f, term, 0.0, 0.0))
+    # and h1 -> -inf at infinity: x2 lies right of 0, below 2 a log a once that
+    # passes rung 40 (x2 / (a log a) -> 1 from above, at most ~1.15 there).
+    x1 = _solve(CriticalKind.X1, a, f, term, 0.0, 0.0, (-a + _FIRST_OFFSET * min(1.0, a), 0.0))
+    top = max(_TOP_RUNG,
+              math.ceil(math.log2(a) + math.log2(2.0 * math.log(max(a, 2.0)) / _FIRST_OFFSET)))
+    return x1, _solve(CriticalKind.X2, a, f, term, 0.0, 0.0, top=top)
 
 
 def find_x3(a: float) -> CriticalPoint:

@@ -36,6 +36,8 @@ An array raises if any entry would.
 delta_n is summed as powers of x/(x+a+j): its k-th term, k >= 2, is
 S_k = x^k zeta(k, x+a)/k = sum_{j>=0} (x/(x+a+j))^k / k (DLMF 5.15.2), and
 near x = 0 it takes the tail form delta_n = -log Gamma(a) + sum_{k>n} S_k.
+That tail is summed per ratio r = x/(x+a+j), as r^(n+1) h_n(r) with
+h_n(r) = sum_{m>=0} r^m/(n+1+m) = B(r; n+1, 0)/r^(n+1) (DLMF 8.17).
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .specfun import MAX_ORDER, DomainError, digamma, log_gamma, polygamma, EULER_GAMMA, np
-from .specfun import _UNIT_ROUNDOFF, _edge, _remainder
+from .specfun import _UNIT_ROUNDOFF, _corrections, _edge, _remainder
 
 __all__ = [
     "Sign",
@@ -346,10 +348,69 @@ def _tail_rows(a: float, x):
 
     rho is 0.2, and 0.7 at a in {1, 2}, where delta_n(0) = 0 and the direct
     form cancels: 0.7 keeps log_g1_deriv (n <= 6) within 4e-14 of mpmath on
-    (-0.45a, 30), against 2e-11 at 0.2 (measured).  x is a float or an ndarray.
+    (-0.45a, 30), against 2e-11 at 0.2 (measured).  rho also bounds the
+    ratios x/(x+a+j) whose h_n :func:`_tail_sum` sums, so Horner needs at
+    most ~107 terms.  x is a float or an ndarray.
     """
     rho = 0.7 if a in (1.0, 2.0) else 0.2
     return abs(x) <= rho * (x + a)
+
+
+def _terms(rho: float) -> int:
+    """Terms m < M of sum_m rho^m c_m (c_m > 0 falling) to rounding, for 0 <= rho < 1.
+
+    The rest is at most rho^M c_M / (1 - rho) <= u c_0: rho^M <= u (1 - rho).
+    """
+    return max(1, math.ceil(math.log(_UNIT_ROUNDOFF * (1.0 - rho)) / math.log(rho))) if rho else 1
+
+
+@functools.lru_cache(maxsize=512)
+def _far_table(n: int, terms: int) -> tuple[tuple[float, ...], ...]:
+    """Per order k = n+1 .. n+terms, the coefficients of z/((k-1)k) + _remainder(k, z)/k.
+
+    Each row holds those of z, 1, 1/z, 1/z^3, ..., 1/z^19.
+    """
+    return tuple((1.0 / ((k - 1) * k), 0.5 / k, *(c / k for c in reversed(_corrections(k))))
+                 for k in range(n + 1, n + 1 + terms))
+
+
+def _tail_sum(n: int, r, rn, p, q, z):
+    """sum_{k>n} p^(k-n-1) s_k with s_k = sum_{j>=0} r_j^k / k, on tail rows.
+
+    r_j = u/(x+a+j) and p are those of :func:`_delta_side`, so s_k is S_k, or
+    S_k/x^k on scaled rows, and p r_j = x/(x+a+j).  The ratios j < J (r, with
+    rn = r^(n+1)) give sum_j r_j^(n+1) h_n(p r_j), h_n(rho) = sum_{m>=0}
+    rho^m/(n+1+m), by Horner to :func:`_terms` of |p r_j| <= 0.7: per ratio
+    for a float, at the block's largest for an ndarray.  The ratios from z =
+    x+a+J on give q^(n+1) sum_{i<K} g^i (z/(k-1) + _remainder(k, z))/k at k =
+    n+1+i, with q = u/z and g = p q = x/z, |g| <= 1/4 by the 4|x| reach:
+    every order from one product of the (K x 12) :func:`_far_table` with
+    twelve powers of z.  The remainder's error grows like k^21 z^-21 past
+    order n+1 while g^i falls at least 4x per order (checked against mpmath to
+    n = 170).
+    """
+    g, inv, first = p * q, 1.0 / z, 1.0 / (n + 1)
+    if type(z) is float or not isinstance(z, np.ndarray):
+        near, far = 0.0, 0.0
+        for rj, t in zip(r, rn):
+            rho, h = p * rj, 0.0
+            if rho:
+                for k in range(n + _terms(abs(rho)), n + 1, -1):
+                    h = (h + 1.0 / k) * rho
+            near += t * (h + first)
+        powers = [z, 1.0, *accumulate(repeat(inv * inv, 9), operator.mul, initial=inv)]
+        for row in reversed(_far_table(n, _terms(abs(g)))):
+            far = far * g + sum(map(operator.mul, row, powers))
+        return near + q ** (n + 1) * far
+    rho = p * r
+    h = np.zeros(rho.shape)
+    for k in range(n + _terms(float(np.abs(rho).max())), n + 1, -1):
+        h += 1.0 / k
+        h *= rho
+    terms = _terms(float(np.abs(g).max()))
+    powers = np.column_stack([z, np.ones_like(z), inv[:, None] * np.vander(inv * inv, 10, True)])
+    weights = np.vander(g, terms, True) @ np.array(_far_table(n, terms))
+    return (rn * (h + first)).sum(axis=0) + q ** (n + 1) * (weights * powers).sum(axis=1)
 
 
 def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
@@ -357,15 +418,15 @@ def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
 
     Direct rows: delta_1 = -log Gamma(x+a) + x psi(x+a), delta_k = delta_(k-1)
     - S_k; tail rows: delta_n = -log Gamma(a) + sum_{k>n} S_k, delta_(k-1) =
-    delta_k + S_k (module docstring).  S_k adds the ratios j < J in order of j,
-    then (x/z)^k (z/(k-1) + _remainder(k, z)) at z = x+a+J past _edge(n+1)
-    and, on tail rows, 4|x|: past order n+1 that bracket's error grows like
-    k^21 z^-21 while (x/z)^k falls 4x per order (checked against mpmath to
-    n = 170).  A row drops it once below rounding of its sum; tail orders are
-    added until each term is, at most ~110.  `scaled` tail rows (a in {1, 2},
-    so log Gamma(a) = 0) give delta_k / x^(k+1), in range where delta_k
-    underflows: 1 for x in the ratios' numerators, order k > n weighted by
-    x^(k-n-1), delta_(k-1) = x delta_k + S_k/x^k; at x = 0, zeta(k+1, a)/(k+1).
+    delta_k + S_k (module docstring).  S_k, k <= n, adds the ratios j < J in
+    order of j, then (x/z)^k (z/(k-1) + _remainder(k, z)) at z = x+a+J past
+    _edge(n+1) and, on tail rows, 4|x|; a row drops that once below rounding
+    of its sum.  The tail orders k > n come from :func:`_tail_sum`: one h_n
+    per ratio and one product for the ratios past J.  `scaled` tail rows (a in
+    {1, 2}, so log Gamma(a) = 0) give delta_k / x^(k+1), in range where
+    delta_k underflows: 1 for x in the ratios' numerators, order k > n
+    weighted by x^(k-n-1), delta_(k-1) = x delta_k + S_k/x^k; at x = 0,
+    zeta(k+1, a)/(k+1).
     """
     edge, reach = _edge(n + 1), 4.0 * abs(x) if tail else 0.0
     u, p = (1.0, x) if scaled else (x, 1.0)
@@ -380,28 +441,22 @@ def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
         power, add, top = (lambda v: v * r), (lambda v: v.sum(axis=0)), np.ndarray.max
     z = x + (a + shift)
     q = u / z
-    near, far, live, sums, total, w = r, q, True, [], 0.0, 1.0
-    for k in range(2, n + 256 if tail else n + 1):
+    near, far, live, sums = r, q, True, []
+    for k in range(2, n + 1):
         near = power(near)
         s = add(near)
         if far is not None:
             far = far * q
             beyond = far * (z / (k - 1) + _remainder(k, z)) * live
             s = s + beyond
-            live = live & (abs(beyond * w) > _UNIT_ROUNDOFF * abs(s if k <= n else total))
+            live = live & (abs(beyond) > _UNIT_ROUNDOFF * abs(s))
             if not top(live):
                 far = None
-        s = s / k
-        if k <= n:
-            sums.append(s)
-            continue
-        total = total + w * s
-        if top(abs(w * s) - _UNIT_ROUNDOFF * abs(total)) <= 0.0:
-            break
-        w = w * p
-    if tail:
-        return list(accumulate([total - log_gamma(a), *sums[::-1]], lambda d, t: p * d + t))[::-1]
-    return list(accumulate([-log_gamma(x + a) + x * digamma(x + a), *sums], operator.sub))
+        sums.append(s / k)
+    if not tail:
+        return list(accumulate([-log_gamma(x + a) + x * digamma(x + a), *sums], operator.sub))
+    total = _tail_sum(n, r, power(near), p, q, z) - log_gamma(a)
+    return list(accumulate([total, *sums[::-1]], lambda d, t: p * d + t))[::-1]
 
 
 def _deltas(a: float, n: int, x, scaled: bool = False):
@@ -426,10 +481,13 @@ def delta_n(a: float, n: int, x):
 
     Summed as powers of x/(x+a+j) by :func:`_delta_side`.  Near 0 the direct
     form cancels (delta_n = O(x^{n+1}), its terms O(1)); where :func:`_tail_rows`
-    holds the tail form is finite to n = MAX_ORDER, its error growing by about
-    an ulp per order (up to 3e-14 at n = 170).  Elsewhere the error is ~1e-16 of
-    the largest term: at a in {1, 2} delta_n -> 0 as n grows, so high orders
-    lose all relative accuracy (delta_n(2, 60, 5.0) is 1.4e-5 off mpmath).
+    holds the tail form sums h_n once per ratio and every order past n of the
+    far ratios in one product (:func:`_tail_sum`).  It is finite to n =
+    MAX_ORDER, its error growing by about an ulp per order (up to 3e-14 at n =
+    170).  Elsewhere the error is ~1e-16 of the largest term: at a in {1, 2}
+    delta_n -> 0 as n grows, so the relative error grows from the first orders
+    on.  Against mpmath at a = 2, x = 5 it is 2e-13 at n = 10, 4e-10 at n = 30
+    and 1e-5 at n = 60; at a = 1, x = 2.5, 7e-11 at n = 30.
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"delta_n requires 1 <= n <= {MAX_ORDER}, got {n}")

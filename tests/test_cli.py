@@ -73,6 +73,14 @@ class TestEval:
             x, v = (float(t) for t in line.split(","))
             assert v == digamma(x)  # 17g format round-trips exactly
 
+    def test_range_rows_match_fmt(self):
+        # the range's one-format-a-line rows write each number as _fmt does
+        from gammapower.cli import _fmt, _rows
+
+        vs = [5e-324, 0.1, 1.0 / 3.0, -2.5, 1e308]
+        xs = vs[::-1]
+        assert _rows(xs, vs) == "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, vs))
+
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "psi", "--x", "-1")
         assert code == 2

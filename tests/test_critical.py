@@ -24,6 +24,7 @@ from gammapower.critical import (
     _brent,
 )
 from gammapower.families import h1, h2, h4, h21, h41, h41_prime
+from gammapower.specfun import DomainError
 
 RESIDUAL_TOL = 1e-10
 
@@ -89,19 +90,25 @@ class TestX1X2:
         assert abs(p1.value - _h1_root(a, p1.value)) <= 2 * math.ulp(p1.value)
 
     @pytest.mark.parametrize("a", [1e7, 2.8e7, 1e9])
-    def test_steep_x1_matches_mpmath(self, monkeypatch, a):
+    def test_steep_x1_matches_mpmath(self, a):
         # h1' ~ a near x1 = -a + 1.46, far steeper than the secant across x1's given
-        # bracket (-a + 1e-6, 0).  x2 ~ a log a lies past the top rung (1.1e6) at these
-        # a, so find_x1_x2 raises for x2 after solving x1; the spy keeps x1.
-        solved = []
-        solve = critical._solve
-        monkeypatch.setattr(critical, "_solve",
-                            lambda *args: solved.append(solve(*args)) or solved[-1])
-        with pytest.raises(BracketError):
-            find_x1_x2(a)
-        (p1,) = solved
-        assert p1.kind is CriticalKind.X1
+        # bracket (-a + 1e-6, 0).  x2 ~ a log a lies past rung 40 (1.1e6) at these a;
+        # its ladder goes on past 2 a log a, and h1' ~ -1 there while h1's terms grow
+        # like a log a, so x2 is held to 1e-14 relative rather than to 2 ulp
+        p1, p2 = find_x1_x2(a)
         assert abs(p1.value - _h1_root(a, p1.value)) <= 2 * math.ulp(p1.value)
+        assert abs(p2.value / _h1_root(a, p2.value) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("a", [84680.0, 1e5, 1e6])
+    def test_x2_past_rung_40_matches_mpmath(self, a):
+        _, p2 = find_x1_x2(a)
+        assert math.ldexp(1e-6, 40) <= p2.bracket[0] < p2.value
+        assert abs(p2.value / _h1_root(a, p2.value) - 1) <= 1e-14
+
+    def test_infinite_a_is_a_domain_error(self):
+        # x2's top rung grows with a: an infinite a raises from h1, not from the rung arithmetic
+        with pytest.raises(DomainError):
+            find_x1_x2(math.inf)
 
     @pytest.mark.parametrize("a", [1.0, 1.5, 2.0])
     def test_no_roots_in_middle_band(self, a):

@@ -542,3 +542,55 @@ def test_lcm_margins_match_scalar_log_g1_deriv(a, interval):
 def test_lcm_margins_domain_error(a, x, order):
     with pytest.raises(DomainError):
         _lcm_margins(a, np.array(x), order)
+
+
+def _tail_edge(a, x):
+    """The float nearest x, towards 0, on a tail row of delta_n."""
+    while not families._tail_rows(a, x):
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+# Tail rows: both edges |x| = 0.7(x+a) at a in {1, 2}, negative x and x = 0,
+# and both edges |x| = 0.2(x+a) at other a
+_TAIL_X = {a: [_tail_edge(a, 7.0 * a / 3.0), _tail_edge(a, -0.7 * a / 1.7), -0.3 * a, 0.0]
+           for a in (1.0, 2.0)}
+_TAIL_X.update({a: [_tail_edge(a, a / 4.0), _tail_edge(a, -a / 6.0)] for a in (0.5, 1.5, 2.5)})
+
+
+def _tail_mpmath(a, n, x):
+    """(delta_n(x), (log g1)^(n)(x)) from sum_{k>n} x^(k-n-1) zeta(k, x+a)/k at 30 digits."""
+    with mpmath.workdps(30):
+        am, xm = mpmath.mpf(a), mpmath.mpf(x)
+        s, k = mpmath.mpf(0), n + 1
+        while True:
+            t = xm ** (k - n - 1) * mpmath.zeta(k, xm + am) / k
+            s += t
+            if abs(t) <= 1e-25 * abs(s):
+                break
+            k += 1
+        delta = -mpmath.loggamma(am) + xm ** (n + 1) * s
+        # at a in {1, 2} log Gamma(a) = 0, so n! delta_n/x^(n+1) = n! s, x = 0 included
+        scaled = s if a in (1.0, 2.0) else delta / xm ** (n + 1)
+        return delta, (-1) ** n * mpmath.factorial(n) * scaled
+
+
+@pytest.mark.parametrize("n", [1, 6, 30, 100, 170])
+@pytest.mark.parametrize("a", sorted(_TAIL_X))
+def test_tail_rows_match_mpmath(a, n):
+    # delta_n and log_g1_deriv on tail rows, where the tail sums h_n per ratio:
+    # within 3e-14 of mpmath (the error grows by about an ulp per order), and
+    # the float and the array path within 1e-15 of each other
+    xs = _TAIL_X[a]
+    assert all(families._tail_rows(a, x) for x in xs)
+    wants = [_tail_mpmath(a, n, x) for x in xs]
+    for i, fn in enumerate((delta_n, log_g1_deriv)):
+        want = [w[i] for w in wants]
+        if any(abs(w) > 1e300 for w in want):  # past the double range
+            with pytest.raises(OverflowError):
+                fn(a, n, np.array(xs))
+            continue
+        got, got_array = [fn(a, n, x) for x in xs], fn(a, n, np.array(xs))
+        for x, w, g, g_array in zip(xs, want, got, got_array):
+            assert abs(g - g_array) <= 1e-15 * abs(g), (fn.__name__, x)
+            assert float(abs(g - w)) <= 3e-14 * float(abs(w)), (fn.__name__, x)
