@@ -92,20 +92,23 @@ class CriticalPoint:
 
 
 def _brent(f: Callable[[float], float], lo: float, hi: float, flo: float,
-           fhi: float) -> tuple[float, float, int]:
+           fhi: float) -> tuple[float, float, int, float]:
     """Root t of f in [lo, hi] from f(lo) = flo and f(hi) = fhi of opposite signs.
 
     Brent's zeroin: inverse quadratic or secant interpolation, falling back to
     bisection whenever the step leaves the bracket or shrinks it too slowly.
     Stops when f(t) == 0 or the bracket is within 4 ulp of t, after at most
-    _MAX_ITER iterations of one f-evaluation each.  Returns (t, f(t), iterations).
+    _MAX_ITER iterations of one f-evaluation each.  Returns (t, f(t), iterations,
+    slope), slope = |f'| near t as the secant across the last bracket over 4 ulp
+    wide: across the final one the rounding of f can swamp its slope.
     """
     if flo == 0.0:
-        return lo, flo, 0
+        return lo, flo, 0, 0.0
     if fhi == 0.0:
-        return hi, fhi, 0
+        return hi, fhi, 0, 0.0
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(lo, hi, fhi)
+    slope = abs(fhi - flo) / abs(hi - lo)
     # b is the best estimate, c the other end of the bracket, a the previous b;
     # e is the step before last, which an interpolated step must halve
     a, fa, b, fb, c, fc = lo, flo, hi, fhi, lo, flo
@@ -116,7 +119,8 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, flo: float,
         tol = 2.0 * math.ulp(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol:
-            return b, fb, it
+            return b, fb, it, slope
+        slope = abs(fc - fb) / abs(c - b)
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -136,20 +140,28 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, flo: float,
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = f(b)
         if fb == 0.0:
-            return b, fb, it + 1
+            return b, fb, it + 1, slope
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    return b, fb, _MAX_ITER
+    return b, fb, _MAX_ITER, slope
+
+
+def _first_rung(left: float, offset: float = _FIRST_OFFSET) -> tuple[int, float]:
+    """(k, left + offset * 2^k) at the lowest k < 40 that lies right of `left`, else k = 40.
+
+    k = 0 unless left is so large that left + offset rounds onto it.
+    """
+    k = next((k for k in range(_TOP_RUNG) if left + math.ldexp(offset, k) > left), _TOP_RUNG)
+    return k, left + math.ldexp(offset, k)
 
 
 def _expand_bracket(f: Callable[[float], float], left: float,
                     top: int = _TOP_RUNG) -> tuple[float, float, float, float, int]:
     """First sign-change bracket (lo, hi) of f on the rungs left + 1e-6 * 2^k.
 
-    The ladder starts at the lowest rung k <= 40 that lies right of `left` (k = 0
-    unless left is so large that left + 1e-6 rounds onto it) and ends at k = 40,
-    or, where f keeps its sign there, at k = `top`.
+    The ladder starts at :func:`_first_rung` and ends at k = 40, or, where f
+    keeps its sign there, at k = `top`.
     f has one sign change on (left, inf), by the theorems behind each critical
     point, so "f(rung k) is zero or lacks the bottom rung's sign" is false, then
     true, up the ladder: bisection over k finds the same adjacent rungs as
@@ -159,8 +171,7 @@ def _expand_bracket(f: Callable[[float], float], left: float,
     def rung(k: int) -> float:
         return left + math.ldexp(_FIRST_OFFSET, k)
 
-    k_lo = next((k for k in range(_TOP_RUNG) if rung(k) > left), _TOP_RUNG)
-    x_lo = rung(k_lo)
+    k_lo, x_lo = _first_rung(left)
     f_lo = f(x_lo)
     if f_lo == 0.0:
         return x_lo, x_lo, f_lo, f_lo, 1
@@ -184,27 +195,6 @@ def _expand_bracket(f: Callable[[float], float], left: float,
     return x_lo, x_hi, f_lo, f_hi, probes
 
 
-def _slope(lo: float, hi: float, flo: float, fhi: float,
-           iterates: list[tuple[float, float]], t: float) -> float:
-    """|f'| near t: the secant across the last bracket over 4 ulp(t) wide.
-
-    Replays Brent's brackets from (lo, hi): each iterate (x, f(x)) replaces
-    the bracket end whose f has its sign.  The final bracket, within 4 ulp of
-    t, is skipped, since across it the rounding of f can swamp its slope.
-    """
-    width = 4.0 * math.ulp(t)
-    for x, fx in iterates:
-        if (fx > 0.0) == (flo > 0.0):
-            if abs(hi - x) <= width:
-                break
-            lo, flo = x, fx
-        else:
-            if abs(x - lo) <= width:
-                break
-            hi, fhi = x, fx
-    return abs(fhi - flo) / abs(hi - lo)
-
-
 def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
            psi_term: Callable[[float], float], left: float, shift: float,
            bracket: tuple[float, float] | None = None, top: int = _TOP_RUNG) -> CriticalPoint:
@@ -215,28 +205,18 @@ def _solve(kind: CriticalKind, a: float, f: Callable[[float], float],
     The residual is |f(t)| / max(1, |psi_term(t)|), the equation's psi term
     setting its scale.  The solve has not converged when the residual exceeds
     1e-10 and |f(t)| also exceeds 4 ulp(t) |f'|, the most a root inside
-    Brent's final 4-ulp bracket can leave where f is steep; f' is the secant
-    slope across the last bracket Brent kept whose ends are over 4 ulp(t)
-    apart.  `f_evals` counts every evaluation of f, bracket ends and probes
-    included.
+    Brent's final 4-ulp bracket can leave where f is steep; :func:`_brent`
+    reports f'.  `f_evals` counts every evaluation of f, bracket ends and
+    probes included.
     """
     if bracket is None:
         lo, hi, flo, fhi, evals = _expand_bracket(f, left, top)
     else:
         (lo, hi), evals = bracket, 2
         flo, fhi = f(lo), f(hi)
-    iterates: list[tuple[float, float]] = []
-
-    def f_kept(x: float) -> float:
-        fx = f(x)
-        iterates.append((x, fx))
-        return fx
-
-    t, ft, iterations = _brent(f_kept, lo, hi, flo, fhi)
+    t, ft, iterations, slope = _brent(f, lo, hi, flo, fhi)
     residual = abs(ft) / max(1.0, abs(psi_term(t)))
-    # residual > 0 implies t is not a bracket end of f = 0, so hi > lo
-    if (residual > _RESIDUAL_TOL
-            and abs(ft) > 4.0 * math.ulp(t) * _slope(lo, hi, flo, fhi, iterates, t)):
+    if residual > _RESIDUAL_TOL and abs(ft) > 4.0 * math.ulp(t) * slope:
         raise ArithmeticError(f"{kind.value} residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     return CriticalPoint(kind, a, t - shift, residual, (lo - shift, hi - shift), iterations,
                          evals + iterations)
@@ -259,17 +239,26 @@ def find_x1_x2(a: float) -> tuple[CriticalPoint, CriticalPoint]:
         raise PreconditionError(f"x1/x2 require 0 < a < 1 or a > 2 (h1 has no roots for "
                                 f"a in [1, 2]), got a={a}")
     f, term = lambda x: h1(a, x), lambda x: x * digamma(x + a)
-    # h1(-a+) = -inf while h1(0) = log Gamma(a) > 0: (-a, 0) brackets x1; h1(0) > 0
-    # and h1 -> -inf at infinity: x2 lies right of 0, below 2 a log a once that
-    # passes rung 40 (x2 / (a log a) -> 1 from above, at most ~1.15 there).
-    x1 = _solve(CriticalKind.X1, a, f, term, 0.0, 0.0, (-a + _FIRST_OFFSET * min(1.0, a), 0.0))
+    # h1(-a+) = -inf while h1(0) = log Gamma(a) > 0: (-a, 0) brackets x1, from its
+    # first rung right of -a; h1(0) > 0 and h1 -> -inf at infinity: x2 lies right
+    # of 0, below 2 a log a once that passes rung 40 (x2 / (a log a) -> 1 from
+    # above, at most ~1.15 there).
+    lo = _first_rung(-a, _FIRST_OFFSET * min(1.0, a))[1]
+    x1 = _solve(CriticalKind.X1, a, f, term, 0.0, 0.0, (lo, 0.0))
     top = max(_TOP_RUNG,
               math.ceil(math.log2(a) + math.log2(2.0 * math.log(max(a, 2.0)) / _FIRST_OFFSET)))
     return x1, _solve(CriticalKind.X2, a, f, term, 0.0, 0.0, top=top)
 
 
 def find_x3(a: float) -> CriticalPoint:
-    """Root of h21(x+a) on (0, inf) for 1 < a < 2; h2 is minimal there."""
+    """Root of h21(x+a) on (0, inf) for 1 < a < 2; h2 is minimal there.
+
+    Known defect: near the range ends x3 ~ 0.84 sqrt(a-1) and ~ 1.15 sqrt(2-a),
+    and though the residual stays ~2e-16 the error against mpmath grows as a
+    nears 1: 4e-13, 3e-11, 6e-9 and 6e-7 at a-1 = 1e-4, 1e-6, 1e-8 and 1e-10.
+    Once x3 < 1e-6, the ladder's bottom rung, it raises BracketError: for
+    a-1 <~ 1.4e-12 or 2-a <~ 7.6e-13 (t4~ likewise for 2-a <~ 3.8e-13).
+    """
     if not (1.0 < a < 2.0):
         raise PreconditionError(f"x3 requires 1 < a < 2, got a={a}")
     return _solve(CriticalKind.X3, a, lambda t: h21(a, t), lambda t: (t - a) * digamma(t), a, a)

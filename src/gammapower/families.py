@@ -51,7 +51,7 @@ from enum import Enum
 from itertools import accumulate, repeat
 
 from .specfun import MAX_ORDER, DomainError, digamma, log_gamma, polygamma, EULER_GAMMA, np
-from .specfun import _UNIT_ROUNDOFF, _corrections, _edge, _remainder
+from .specfun import _UNIT_ROUNDOFF, _corrections, _edge
 
 __all__ = [
     "Sign",
@@ -365,16 +365,26 @@ def _terms(rho: float) -> int:
 
 
 @functools.lru_cache(maxsize=512)
-def _far_table(n: int, terms: int) -> tuple[tuple[float, ...], ...]:
-    """Per order k = n+1 .. n+terms, the coefficients of z/((k-1)k) + _remainder(k, z)/k.
+def _far_table(top: int) -> tuple[tuple[float, ...], ...]:
+    """Per order k = 2 .. top, the coefficients of z/((k-1)k) + specfun._remainder(k, z)/k.
 
     Each row holds those of z, 1, 1/z, 1/z^3, ..., 1/z^19.
     """
     return tuple((1.0 / ((k - 1) * k), 0.5 / k, *(c / k for c in reversed(_corrections(k))))
-                 for k in range(n + 1, n + 1 + terms))
+                 for k in range(2, top + 1))
 
 
-def _tail_sum(n: int, r, rn, p, q, z):
+def _far_parts(top: int, z) -> list:
+    """[z^k zeta(k, z)/k, k = 2 .. top] by one :func:`_far_table` product; z a float or ndarray."""
+    inv = 1.0 / z
+    if type(z) is float or not isinstance(z, np.ndarray):
+        powers = [z, 1.0, *accumulate(repeat(inv * inv, 9), operator.mul, initial=inv)]
+        return [sum(map(operator.mul, row, powers)) for row in _far_table(top)]
+    powers = np.vstack([z, np.ones_like(z), np.vander(inv * inv, 10, True).T * inv])
+    return np.reshape(_far_table(top), (-1, 12)) @ powers
+
+
+def _tail_sum(n: int, r, rn, p, q, far):
     """sum_{k>n} p^(k-n-1) s_k with s_k = sum_{j>=0} r_j^k / k, on tail rows.
 
     r_j = u/(x+a+j) and p are those of :func:`_delta_side`, so s_k is S_k, or
@@ -382,35 +392,29 @@ def _tail_sum(n: int, r, rn, p, q, z):
     rn = r^(n+1)) give sum_j r_j^(n+1) h_n(p r_j), h_n(rho) = sum_{m>=0}
     rho^m/(n+1+m), by Horner to :func:`_terms` of |p r_j| <= 0.7: per ratio
     for a float, at the block's largest for an ndarray.  The ratios from z =
-    x+a+J on give q^(n+1) sum_{i<K} g^i (z/(k-1) + _remainder(k, z))/k at k =
-    n+1+i, with q = u/z and g = p q = x/z, |g| <= 1/4 by the 4|x| reach:
-    every order from one product of the (K x 12) :func:`_far_table` with
-    twelve powers of z.  The remainder's error grows like k^21 z^-21 past
-    order n+1 while g^i falls at least 4x per order (checked against mpmath to
-    n = 170).
+    x+a+J on give q^(n+1) sum_{i<K} g^i far_i, far_i the :func:`_far_parts`
+    entry of order n+1+i, by Horner in g = p q = x/z, |g| <= 1/4 by the 4|x|
+    reach.  The remainder's error grows like k^21 z^-21 past order n+1 while
+    g^i falls at least 4x per order (checked against mpmath to n = 170).
     """
-    g, inv, first = p * q, 1.0 / z, 1.0 / (n + 1)
-    if type(z) is float or not isinstance(z, np.ndarray):
-        near, far = 0.0, 0.0
+    first, g, beyond = 1.0 / (n + 1), p * q, 0.0
+    for part in reversed(far):
+        beyond = beyond * g + part
+    if type(g) is float or not isinstance(g, np.ndarray):
+        near = 0.0
         for rj, t in zip(r, rn):
             rho, h = p * rj, 0.0
             if rho:
                 for k in range(n + _terms(abs(rho)), n + 1, -1):
                     h = (h + 1.0 / k) * rho
             near += t * (h + first)
-        powers = [z, 1.0, *accumulate(repeat(inv * inv, 9), operator.mul, initial=inv)]
-        for row in reversed(_far_table(n, _terms(abs(g)))):
-            far = far * g + sum(map(operator.mul, row, powers))
-        return near + q ** (n + 1) * far
+        return near + q ** (n + 1) * beyond
     rho = p * r
     h = np.zeros(rho.shape)
     for k in range(n + _terms(float(np.abs(rho).max())), n + 1, -1):
         h += 1.0 / k
         h *= rho
-    terms = _terms(float(np.abs(g).max()))
-    powers = np.column_stack([z, np.ones_like(z), inv[:, None] * np.vander(inv * inv, 10, True)])
-    weights = np.vander(g, terms, True) @ np.array(_far_table(n, terms))
-    return (rn * (h + first)).sum(axis=0) + q ** (n + 1) * (weights * powers).sum(axis=1)
+    return (rn * (h + first)).sum(axis=0) + q ** (n + 1) * beyond
 
 
 def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
@@ -418,11 +422,11 @@ def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
 
     Direct rows: delta_1 = -log Gamma(x+a) + x psi(x+a), delta_k = delta_(k-1)
     - S_k; tail rows: delta_n = -log Gamma(a) + sum_{k>n} S_k, delta_(k-1) =
-    delta_k + S_k (module docstring).  S_k, k <= n, adds the ratios j < J in
-    order of j, then (x/z)^k (z/(k-1) + _remainder(k, z)) at z = x+a+J past
-    _edge(n+1) and, on tail rows, 4|x|; a row drops that once below rounding
-    of its sum.  The tail orders k > n come from :func:`_tail_sum`: one h_n
-    per ratio and one product for the ratios past J.  `scaled` tail rows (a in
+    delta_k + S_k (module docstring).  S_k adds the ratios j < J in order of
+    j, then x^k zeta(k, z)/k, (x/z)^k times the :func:`_far_parts` entry, at
+    z = x+a+J past _edge(n+1) and, on tail rows, 4|x|.  One product gives
+    those far parts for the orders 2..n and, on tail rows, the K orders past
+    n that :func:`_tail_sum` adds to its one h_n per ratio.  `scaled` tail rows (a in
     {1, 2}, so log Gamma(a) = 0) give delta_k / x^(k+1), in range where
     delta_k underflows: 1 for x in the ratios' numerators, order k > n
     weighted by x^(k-n-1), delta_(k-1) = x delta_k + S_k/x^k; at x = 0,
@@ -433,29 +437,23 @@ def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
     if type(x) is float or not isinstance(x, np.ndarray):  # lists beat numpy's per-call cost
         shift = math.ceil(max(reach - a - x, edge - a - x, 0.0))
         r = [u / (x + (a + j)) for j in range(shift)]
-        power, add, top = (lambda v: list(map(operator.mul, v, r))), sum, float
+        power, add, largest = (lambda v: list(map(operator.mul, v, r))), sum, float
     else:
         shift = np.ceil(np.maximum(np.maximum(reach - a - x, edge - a - x), 0.0))
         j = np.arange(max(math.ceil(shift.max()), 1))[:, None]
         r = np.where(j < shift, u / (x + (a + j)), 0.0)
-        power, add, top = (lambda v: v * r), (lambda v: v.sum(axis=0)), np.ndarray.max
+        power, add, largest = (lambda v: v * r), (lambda v: v.sum(axis=0)), np.ndarray.max
     z = x + (a + shift)
     q = u / z
-    near, far, live, sums = r, q, True, []
-    for k in range(2, n + 1):
+    far = _far_parts(n + (_terms(largest(abs(p * q))) if tail else 0), z)
+    near, qk, sums = r, q, []
+    for k, part in zip(range(2, n + 1), far):
         near = power(near)
-        s = add(near)
-        if far is not None:
-            far = far * q
-            beyond = far * (z / (k - 1) + _remainder(k, z)) * live
-            s = s + beyond
-            live = live & (abs(beyond) > _UNIT_ROUNDOFF * abs(s))
-            if not top(live):
-                far = None
-        sums.append(s / k)
+        qk = qk * q
+        sums.append(add(near) / k + qk * part)
     if not tail:
         return list(accumulate([-log_gamma(x + a) + x * digamma(x + a), *sums], operator.sub))
-    total = _tail_sum(n, r, power(near), p, q, z) - log_gamma(a)
+    total = _tail_sum(n, r, power(near), p, q, far[n - 1:]) - log_gamma(a)
     return list(accumulate([total, *sums[::-1]], lambda d, t: p * d + t))[::-1]
 
 

@@ -202,6 +202,12 @@ class TestSolve:
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_x1x2_at_huge_a(self, capsys):
+        # -a + 1e-6 rounds onto -a here; x1's bracket starts at its first rung right of -a
+        code, out, err = run(capsys, "solve", "--kind", "x1x2", "--a=3e10")
+        assert (code, err) == (0, "")
+        assert -3e10 < json.loads(out)["x1"]["bracket"][0]
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "solve", "--kind", "x1x2", "--a", "0.5")
         _, out2, _ = run(capsys, "solve", "--kind", "x1x2", "--a", "0.5")

@@ -1,6 +1,8 @@
 """Tests for critical-point solving and thresholds."""
 
+import json
 import math
+import pathlib
 import random
 
 import mpmath
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import gammapower.critical as critical
+from gammapower import cli
 from gammapower.critical import (
     _MAX_ITER,
     A_STAR,
@@ -67,8 +70,9 @@ class TestX0:
 
     def test_moved_root_still_raises(self, monkeypatch):
         def moved(f, lo, hi, flo, fhi):
-            t = _brent(f, lo, hi, flo, fhi)[0] * (1.0 + 1e-9)
-            return t, f(t), 0
+            t, _, _, slope = _brent(f, lo, hi, flo, fhi)
+            t *= 1.0 + 1e-9
+            return t, f(t), 0, slope
 
         monkeypatch.setattr(critical, "_brent", moved)
         with pytest.raises(ArithmeticError, match="x0 residual"):
@@ -89,13 +93,15 @@ class TestX1X2:
         p1, _ = find_x1_x2(a)
         assert abs(p1.value - _h1_root(a, p1.value)) <= 2 * math.ulp(p1.value)
 
-    @pytest.mark.parametrize("a", [1e7, 2.8e7, 1e9])
+    @pytest.mark.parametrize("a", [1e7, 2.8e7, 1e9, 1.8e10, 3e10, 1e12, 1e15])
     def test_steep_x1_matches_mpmath(self, a):
         # h1' ~ a near x1 = -a + 1.46, far steeper than the secant across x1's given
-        # bracket (-a + 1e-6, 0).  x2 ~ a log a lies past rung 40 (1.1e6) at these a;
-        # its ladder goes on past 2 a log a, and h1' ~ -1 there while h1's terms grow
-        # like a log a, so x2 is held to 1e-14 relative rather than to 2 ulp
+        # bracket (-a + 1e-6, 0); from a = 2^34 on, -a + 1e-6 rounds onto -a, and the
+        # bracket starts at its first rung right of -a.  x2 ~ a log a lies past rung 40
+        # (1.1e6) at these a; its ladder goes on past 2 a log a, and h1' ~ -1 there while
+        # h1's terms grow like a log a, so x2 is held to 1e-14 relative rather than to 2 ulp
         p1, p2 = find_x1_x2(a)
+        assert p1.bracket[0] > -a
         assert abs(p1.value - _h1_root(a, p1.value)) <= 2 * math.ulp(p1.value)
         assert abs(p2.value / _h1_root(a, p2.value) - 1) <= 1e-14
 
@@ -289,6 +295,20 @@ class TestBrackets:
             assert got == want, a
 
 
+class TestGoldenSolves:
+    # each entry is `solve --kind <kind> --a <a>`'s JSON payload for ~20 a per
+    # kind, extremes included, so a solver refactor must leave value, residual,
+    # bracket, iterations and f_evals byte-identical
+    GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solves.json").read_text())
+
+    @pytest.mark.parametrize("kind", list(cli._SOLVERS))
+    def test_solves_match_golden(self, kind):
+        cases = [c for c in self.GOLDEN if c["kind"] == kind]
+        assert len(cases) >= 20
+        for c in cases:
+            assert json.loads(json.dumps(cli._SOLVERS[kind](c["a"]))) == c["solve"], c["a"]
+
+
 class TestEvaluationCounts:
     @pytest.mark.parametrize("name, solver, a", [
         ("h1", find_x0, -1.0), ("h21", find_x3, 1.5), ("h41", find_x4, 1.5),
@@ -332,7 +352,7 @@ class TestBrent:
     @staticmethod
     def run(f, lo, hi):
         calls = []
-        t, ft, iterations = _brent(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi))
+        t, ft, iterations, _ = _brent(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi))
         assert len(calls) == iterations <= _MAX_ITER
         assert ft == f(t)
         return t, iterations
@@ -366,12 +386,13 @@ class TestBrent:
         t, iterations = self.run(lambda x: math.cos(x) - x, 0.0, 1.0)
         assert abs(math.cos(t) - t) <= 2e-16 and iterations <= 8
 
-
-class TestSlope:
-    def test_last_bracket_over_4_ulp_sets_the_slope(self):
-        # f = x - 1 on (0.5, 1.5); Brent's last iterate lands within 4 ulp of the
-        # root with an f swamped by rounding (-1e-3), so the slope comes from the
-        # bracket before it, not from the noise across the final one
+    def test_slope_skips_the_final_bracket(self):
+        # f = x - 1 on (0.5, 1.5), swamped by rounding within 4 ulp of 1 (-1e-3
+        # there) and read 8 ulp low at 1.5, so that Brent's first step lands on
+        # 1 + 4 ulp and its second on 1: the slope is the secant across (0.5,
+        # 1 + 4 ulp), not the ~1e12 across the final bracket (1, 1 + 4 ulp)
         u = math.ulp(1.0)
-        iterates = [(1.0 + 2 * u, 2 * u), (1.0 - 2 * u, -1e-3)]
-        assert critical._slope(0.5, 1.5, -0.5, 0.5, iterates, 1.0) == 1.0
+        t, ft, iterations, slope = _brent(lambda x: -1e-3 if abs(x - 1.0) < 4 * u else x - 1.0,
+                                          0.5, 1.5, -0.5, 0.5 - 8 * u)
+        assert (t, ft, iterations) == (1.0 + 4 * u, 4 * u, 2)
+        assert slope == 1.0
