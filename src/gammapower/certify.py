@@ -263,8 +263,7 @@ def _monotone(fn: ArrayFn, plan: SamplePlan, direction: str,
     return np.column_stack([x[:-1], x[1:]]), _DIRECTION_SIGN[direction] * diff, direction
 
 
-def certify_monotone(fn: ArrayFn, plan: SamplePlan, direction: str,
-                     excluded: Sequence[float] = (), claim_id: str = "monotone",
+def certify_monotone(fn: ArrayFn, plan: SamplePlan, direction: str, claim_id: str = "monotone",
                      params: fam.Params = fam.Params(a=math.nan)) -> ClaimReport:
     """Certify fn increasing/decreasing on the plan's sorted sample points.
 
@@ -272,7 +271,7 @@ def certify_monotone(fn: ArrayFn, plan: SamplePlan, direction: str,
     """
     if direction not in _DIRECTION_SIGN:
         raise ValueError(f"unknown direction {direction!r}")
-    return _check(claim_id, params, plan, lambda: [_monotone(fn, plan, direction, excluded)])
+    return _check(claim_id, params, plan, lambda: [_monotone(fn, plan, direction)])
 
 
 def segments(claim_id: str, params: fam.Params, plan: SamplePlan, fn: ArrayFn,
@@ -300,8 +299,8 @@ def certify_lcm(a: float, max_order: int, plan: SamplePlan,
 
     The x = 0 endpoint is included for a in {1, 2} when the interval
     contains it, using the closed-form derivative values there.  Every
-    order at every point comes from one array pass (families._lcm_margins);
-    witnesses are listed by point, then order, with where = (x, n).
+    order at every point comes from one array pass; witnesses are listed by
+    point, then order, with where = (x, n).
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must lie in 1..{MAX_ORDER}, got {max_order}")
@@ -313,7 +312,8 @@ def certify_lcm(a: float, max_order: int, plan: SamplePlan,
             x = np.append(x, 0.0)
         orders = np.arange(1.0, max_order + 1)
         where = np.column_stack([np.repeat(x, max_order), np.tile(orders, x.size)])
-        return [(where, fam._lcm_margins(a, x, max_order), "(-1)^n (log g1)^(n) > 0")]
+        margins = np.stack(fam._margin_orders(a, x, max_order, "LCM margins"), axis=-1)
+        return [(where, margins, "(-1)^n (log g1)^(n) > 0")]
 
     return _check(claim_id or f"lcm.a={a:g}", fam.Params(a=a), plan, blocks)
 

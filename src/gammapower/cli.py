@@ -8,11 +8,11 @@ Verbs:
     constants  print the built-in constants and the c0 bracket values
 
 Exit codes: 0 = evaluated / all certified, 1 = violation found,
-2 = usage or domain error (a non-finite value included), arithmetic
-failure (an overflow, an unconverged solve) or an unwritable --out; `main`
-maps every such error to 2 in one place.  Outputs are deterministic
-functions of the arguments and seed; CSV values carry full double
-round-trip precision.
+2 = usage or domain error, arithmetic failure (an overflow, which the
+library raises instead of returning a value that is not finite, or an
+unconverged solve) or an unwritable --out; `main` maps every such error to
+2 in one place.  Outputs are deterministic functions of the arguments and
+seed; CSV values carry full double round-trip precision.
 """
 
 from __future__ import annotations
@@ -81,20 +81,6 @@ _TAKES_N = {"polygamma", "delta_n", "log_g1_deriv"}
 def _params(ns) -> fam.Params:
     sign = fam.Sign.MINUS if ns.sign == "minus" else fam.Sign.PLUS
     return fam.Params(a=ns.a, c=ns.c, sign=sign)
-
-
-def _value(ns, x):
-    """FN_CATALOG[ns.fn] at x, a float or an ndarray; a non-finite value is a domain error."""
-    v = FN_CATALOG[ns.fn](ns, x)
-    if type(v) is float:
-        if math.isfinite(v):
-            return v
-    else:
-        bad = np.ravel(x)[~np.isfinite(np.ravel(v))]
-        if not bad.size:
-            return v
-        x = bad[0]
-    raise DomainError(f"{ns.fn} is not finite at x={x}")
 
 
 def count(text: str) -> int:
@@ -204,10 +190,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run_eval(ns, out) -> int:
     if ns.x is not None:
-        text = _fmt(_value(ns, ns.x)) + "\n"
+        text = _fmt(FN_CATALOG[ns.fn](ns, ns.x)) + "\n"
     else:
         xs = _grid(ns.x_min, ns.x_max, ns.points)
-        vs = _value(ns, np.array(xs)).tolist()
+        vs = FN_CATALOG[ns.fn](ns, np.array(xs)).tolist()
         text = "x,value\n" + _rows(xs, vs)
     if ns.out:
         with open(ns.out, "w") as fh:
@@ -251,7 +237,7 @@ def _run_sweep(ns, out) -> int:
             ns.a = a
             for x in xs:
                 try:
-                    v = _value(ns, x)
+                    v = FN_CATALOG[ns.fn](ns, x)
                 except (DomainError, ArithmeticError):
                     continue  # outside this slice's domain; skip the row
                 fh.write(f"{_fmt(a)},{_fmt(x)},{_fmt(v)}\n")

@@ -103,7 +103,8 @@ def _total(fn):
     """fn(..., x), where a value that is not finite raises OverflowError.
 
     An ndarray x is computed under np.errstate, so that an overflow reaches
-    this check and not stderr; a float division by an underflowed 0 is inf.
+    this check and not stderr; for a float x, a division by an underflowed 0
+    or a math overflow is inf.
     """
     @functools.wraps(fn)
     def total(*args):
@@ -111,7 +112,7 @@ def _total(fn):
         if type(x) is float or not isinstance(x, np.ndarray):
             try:
                 v = fn(*args)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, OverflowError):
                 v = math.inf
             if -math.inf < v < math.inf:
                 return float(v)
@@ -147,21 +148,8 @@ def _require(name: str, a: float, x, lo: float, zero: bool = True,
 
 
 def _exp(v):
-    """exp of a float or an ndarray; a value that overflows, +inf or nan raises OverflowError."""
-    if type(v) is float or not isinstance(v, np.ndarray):
-        if v < math.inf:
-            try:
-                return math.exp(v)
-            except OverflowError:
-                pass
-    else:
-        with np.errstate(all="ignore"):
-            e = np.exp(v)
-        bad = ~np.isfinite(e)
-        if not bad.any():
-            return e
-        v = v[bad][0]
-    raise OverflowError(f"family value overflows: exp({v})")
+    """exp of a float or an ndarray."""
+    return math.exp(v) if type(v) is float or not isinstance(v, np.ndarray) else np.exp(v)
 
 
 def _log(x):
@@ -238,6 +226,7 @@ def log_g1(a: float, x):
                   lambda t: -log_gamma(t + a) / t)
 
 
+@_total
 def g1(a: float, x):
     """g1(x) = 1/(Gamma(x+a))^(1/x); see :func:`log_g1` for the domain."""
     return _exp(log_g1(a, x))
@@ -250,6 +239,7 @@ def log_g2(a: float, c: float, x):
     return log_gamma(x + a) / x - c * _log(x)
 
 
+@_total
 def g2(a: float, c: float, x):
     """g2(x) = (Gamma(x+a))^(1/x) / x^c on (0, inf)."""
     return _exp(log_g2(a, c, x))
@@ -262,6 +252,7 @@ def log_g3(a: float, c: float, x):
     return log_gamma(x + a) / x - c * _log(x + a)
 
 
+@_total
 def g3(a: float, c: float, x):
     """g3(x) = (Gamma(x+a))^(1/x) / (x+a)^c on (0, inf)."""
     return _exp(log_g3(a, c, x))
@@ -495,20 +486,12 @@ def delta_n(a: float, n: int, x):
 
 @_total
 def log_g1_deriv(a: float, n: int, x):
-    """n-th derivative of log g1 at x, (-1)^n times order n of :func:`_lcm_margins`.
+    """n-th derivative of log g1 at x, (-1)^n times order n of :func:`_margin_orders`.
 
     That is (-1)^n n! delta_n(x) / x^{n+1}, and at the removable point x = 0
     (a in {1, 2} only) -psi^(n)(a)/(n+1).
     """
     return (-1.0) ** n * _margin_orders(a, x, n, "log_g1_deriv")[-1]
-
-
-def _lcm_margins(a: float, x, max_order: int, name: str = "LCM margins") -> np.ndarray:
-    """(-1)^n (log g1)^(n)(x) = n! delta_n(x)/x^(n+1), n = 1..max_order, in the last axis.
-
-    x is an ndarray; the orders come from :func:`_margin_orders`.
-    """
-    return np.stack(_margin_orders(a, x, max_order, name), axis=-1)
 
 
 def _margin_orders(a: float, x, max_order: int, name: str) -> list:

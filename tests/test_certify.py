@@ -153,6 +153,10 @@ class TestTheoremClaims:
         assert certify_logconvex(2.0, 0.0, SMALL, "concave").verdict is Verdict.CERTIFIED
         assert certify_logconvex(2.0, 0.5, SMALL, "convex").verdict is Verdict.VIOLATED
 
+    def test_logconvex_unknown_sense(self):
+        with pytest.raises(ValueError, match="sideways"):
+            certify_logconvex(2.0, 0.0, SMALL, "sideways")
+
     def test_geoconvex(self):
         # the catalog's geometric convexity rows: x f'/f increasing, for g2 and g3
         for claim, a, c in (("thm2.3.geoconvex", 0.75, -3.0), ("thm3.2.geoconvex", 3.0, -1.0)):

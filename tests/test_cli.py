@@ -124,7 +124,8 @@ class TestEval:
         assert "--n" in err
 
     @pytest.mark.parametrize("bounds", [("--x-min=nan", "--x-max=2"), ("--x-min=1", "--x-max=inf"),
-                                        ("--x-min=-1e308", "--x-max=1e308")])
+                                        ("--x-min=-1e308", "--x-max=1e308"),
+                                        ("--x-min=abc", "--x-max=2")])
     def test_nonfinite_or_overflowing_range_exit_2(self, capsys, bounds):
         code, out, err = run(capsys, "eval", "--fn", "psi", *bounds)
         assert (code, out) == (2, "")
@@ -156,6 +157,20 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "--points" in err
+
+    def test_range_out_file(self, capsys, tmp_path):
+        # --out takes the CSV that stdout would get, and stdout stays empty
+        dest = tmp_path / "psi.csv"
+        args = ("eval", "--fn", "psi", "--x-min", "1", "--x-max", "2", "--points", "3")
+        code, out, _ = run(capsys, *args, "--out", str(dest))
+        assert (code, out) == (0, "")
+        assert dest.read_text() == run(capsys, *args)[1]
+        assert len(dest.read_text().splitlines()) == 4
+
+    def test_range_needs_both_bounds(self, capsys):
+        code, out, err = run(capsys, "eval", "--fn", "psi", "--x-min", "1")
+        assert (code, out) == (2, "")
+        assert "eval requires either --x or both --x-min and --x-max" in err
 
 
 class TestSolve:
@@ -512,6 +527,20 @@ class TestExitCodeProperty:
         assert code in (0, 2)
         if code == 0:
             assert math.isfinite(float(out))
+
+    @pytest.mark.parametrize("fn", sorted(FN_CATALOG))
+    @given(lo=_ANY_FLOAT, hi=_ANY_FLOAT, a=_ANY_FLOAT, c=_ANY_FLOAT, n=st.integers(1, 8),
+           sign=st.sampled_from(["plus", "minus"]))
+    @settings(max_examples=30, deadline=None)
+    def test_eval_range(self, fn, lo, hi, a, c, n, sign):
+        code, out, _ = run_quiet("eval", "--fn", fn, f"--x-min={lo!r}", f"--x-max={hi!r}",
+                                 "--points=16", f"--a={a!r}", f"--c={c!r}", f"--n={n}",
+                                 f"--sign={sign}")
+        assert code in (0, 2)
+        if code == 0:
+            rows = out.splitlines()[1:]
+            assert len(rows) == 16
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     @pytest.mark.parametrize("kind", ["x0", "x1x2", "x3", "x4", "t4tilde",
                                       "threshold-g2", "threshold-g3"])

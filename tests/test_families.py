@@ -32,13 +32,18 @@ from gammapower.families import (
     x_logderiv_g3,
 )
 from gammapower import families
-from gammapower.families import _lcm_margins
+from gammapower.families import _margin_orders
 from gammapower.certify import SamplePlan
 from gammapower.specfun import DomainError, EULER_GAMMA, digamma, log_gamma, polygamma
 
 import oracles
 
 PI = math.pi
+
+
+def _lcm_margins(a, x, n):
+    """n! delta_k(x)/x^(k+1), k = 1..n, in the last axis, as certify_lcm stacks them."""
+    return np.stack(_margin_orders(a, x, n, "LCM margins"), axis=-1)
 
 
 class TestFamilyValues:
