@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -105,6 +105,7 @@ class SamplePlan:
     Positive intervals are sampled on a log grid, intervals reaching into
     negative x linearly.  `margin` is the exclusion radius around x = 0 and
     around known critical points where derivatives legitimately vanish.
+    Each plan builds its points and its pairs once, on first use.
     """
 
     interval: tuple[float, float] = (1e-2, 50.0)
@@ -126,8 +127,9 @@ class SamplePlan:
         if problems:
             raise ValueError("bad sample plan: " + "; ".join(problems))
 
-    def points(self, excluded: Sequence[float] = ()) -> np.ndarray:
-        """Sorted sample points, margin-excluded around `excluded` centers."""
+    @functools.cached_property
+    def _sorted_points(self) -> np.ndarray:
+        """The grid and random points, sorted; built once per plan, read-only."""
         lo, hi = self.interval
         rng = np.random.default_rng(self.seed)
         if lo > 0.0:
@@ -136,26 +138,42 @@ class SamplePlan:
         else:
             grid = np.linspace(lo, hi, self.grid_points)
             rand = rng.uniform(lo, hi, self.random_points)
-        pts = np.concatenate([grid, rand])
+        return _read_only(np.sort(np.concatenate([grid, rand])))
+
+    def points(self, excluded: Sequence[float] = ()) -> np.ndarray:
+        """Sorted sample points, margin-excluded around `excluded` centers."""
+        pts = self._sorted_points
         keep = np.abs(pts) > self.margin
         for center in excluded:
             keep &= np.abs(pts - center) > self.margin
-        return np.sort(pts[keep])
+        return pts[keep]
 
-    def pairs(self) -> np.ndarray:
-        """(N, 2) array: grid x grid pairs (diagonal included), then seeded random pairs.
-
-        The grid axis has ceil(sqrt(grid_points)) log-spaced points.
-        """
+    @functools.cached_property
+    def _pairs(self) -> np.ndarray:
         lo, hi = max(self.interval[0], 1e-12), self.interval[1]
         axis = np.geomspace(lo, hi, math.isqrt(self.grid_points - 1) + 1)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rng = np.random.default_rng(self.seed)
         raw = np.exp(rng.uniform(math.log(lo), math.log(hi), (self.random_points, 2)))
-        return np.concatenate([grid, raw])
+        return _read_only(np.concatenate([grid, raw]))
+
+    def pairs(self) -> np.ndarray:
+        """(N, 2) array: grid x grid pairs (diagonal included), then seeded random pairs.
+
+        The grid axis has ceil(sqrt(grid_points)) log-spaced points.  The
+        array is read-only: every call returns the same one.
+        """
+        return self._pairs
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "interval": list(self.interval)}
+        return {"interval": list(self.interval), "grid_points": self.grid_points,
+                "random_points": self.random_points, "seed": self.seed, "tol": self.tol,
+                "margin": self.margin}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 DEFAULT_PLAN = SamplePlan()
@@ -338,25 +356,57 @@ def _lg_over(a: float, x: np.ndarray) -> np.ndarray:
     return log_gamma(x + a) / x
 
 
-# Name -> f(a, c, x, y): the log-domain quantities at pairs 0 < x < y that the
-# corollary inequalities and the comparison remarks order, for ndarrays x and
-# y of the pairs' two columns.  r is the log of
+class _PairColumns:
+    """The columns x <= y of pairs, and the family values that quantities share.
+
+    Within one chain, log Gamma(t+a)/t and h2(a, t) are each evaluated at
+    most once, at the distinct abscissae t of both columns, and gathered into
+    a (2, N) array: its row 0 at x, its row 1 at y.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x, self.y = x, y
+        self.t, inverse = np.unique(np.concatenate([x, y]), return_inverse=True)
+        self._at = inverse.reshape(2, -1)
+        self._shared: dict[tuple[str, float], np.ndarray] = {}
+
+    def _gather(self, name: str, a: float, fn: ArrayFn) -> np.ndarray:
+        if (name, a) not in self._shared:
+            self._shared[name, a] = fn(self.t)[self._at]
+        return self._shared[name, a]
+
+    def lg_over(self, a: float) -> np.ndarray:
+        return self._gather("lg_over", a, lambda t: _lg_over(a, t))
+
+    def h2(self, a: float) -> np.ndarray:
+        return self._gather("h2", a, lambda t: fam.h2(a, t))
+
+    def chain(self, names: Sequence[str], a: float, c: float) -> list[np.ndarray]:
+        """Each named quantity of a chain at the pairs."""
+        self._shared = {}  # the last chain's values are not kept
+        return [_QUANTITIES[q](a, c, self) for q in names]
+
+
+# Name -> f(a, c, p): the log-domain quantities at pairs 0 < x < y that the
+# corollary inequalities and the comparison remarks order, for the
+# _PairColumns p of the pairs.  r is the log of
 # (Gamma(x+a))^(1/x) / (Gamma(y+a))^(1/y), m that of Gamma(A+a)^(1/A) over the
 # geometric mean of the two family values, with A = (x+y)/2 and G = sqrt(xy).
 # Every quantity vanishes at x = y.
-_QUANTITIES: dict[str, Callable[[float, float, np.ndarray, np.ndarray], np.ndarray]] = {
-    "r": lambda a, c, x, y: _lg_over(a, x) - _lg_over(a, y),
-    "m": lambda a, c, x, y: _lg_over(a, 0.5 * (x + y)) - 0.5 * (_lg_over(a, x) + _lg_over(a, y)),
-    "0": lambda a, c, x, y: 0.0 * x,
-    "c log(x/y)": lambda a, c, x, y: c * np.log(x / y),
-    "c log(A/G)": lambda a, c, x, y: c * np.log(0.5 * (x + y) / np.sqrt(x * y)),
-    "c log((x+a)/(y+a))": lambda a, c, x, y: c * np.log((x + a) / (y + a)),
-    "h2(y) log(x/y)": lambda a, c, x, y: fam.h2(a, y) * np.log(x / y),
-    "h2(x) log(x/y)": lambda a, c, x, y: fam.h2(a, x) * np.log(x / y),
-    "g3 lower bound": lambda a, c, x, y: ((fam.h2(a, y) - c * y / (y + a)) * np.log(x / y)
-                                          + c * np.log((x + a) / (y + a))),
-    "g3 upper bound": lambda a, c, x, y: ((fam.h2(a, x) - c * x / (x + a)) * np.log(x / y)
-                                          + c * np.log((x + a) / (y + a))),
+_QUANTITIES: dict[str, Callable[[float, float, _PairColumns], np.ndarray]] = {
+    "r": lambda a, c, p: p.lg_over(a)[0] - p.lg_over(a)[1],
+    "m": lambda a, c, p: (_lg_over(a, 0.5 * (p.x + p.y))
+                          - 0.5 * (p.lg_over(a)[0] + p.lg_over(a)[1])),
+    "0": lambda a, c, p: 0.0 * p.x,
+    "c log(x/y)": lambda a, c, p: c * np.log(p.x / p.y),
+    "c log(A/G)": lambda a, c, p: c * np.log(0.5 * (p.x + p.y) / np.sqrt(p.x * p.y)),
+    "c log((x+a)/(y+a))": lambda a, c, p: c * np.log((p.x + a) / (p.y + a)),
+    "h2(y) log(x/y)": lambda a, c, p: p.h2(a)[1] * np.log(p.x / p.y),
+    "h2(x) log(x/y)": lambda a, c, p: p.h2(a)[0] * np.log(p.x / p.y),
+    "g3 lower bound": lambda a, c, p: ((p.h2(a)[1] - c * p.y / (p.y + a)) * np.log(p.x / p.y)
+                                       + c * np.log((p.x + a) / (p.y + a))),
+    "g3 upper bound": lambda a, c, p: ((p.h2(a)[0] - c * p.x / (p.x + a)) * np.log(p.x / p.y)
+                                       + c * np.log((p.x + a) / (p.y + a))),
 }
 
 # Diagonal pairs whose chain spreads by more than this (as a ratio) break equality.
@@ -371,11 +421,11 @@ def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float
     x = y, and their witnesses follow the others.
     """
     p = np.sort(plan.pairs(), axis=1)
-    x, y = p[:, 0], p[:, 1]
-    apart, diag = np.abs(x - y) > plan.tol, x == y
+    cols = _PairColumns(p[:, 0], p[:, 1])
+    apart, diag = np.abs(cols.x - cols.y) > plan.tol, cols.x == cols.y
     out: list[Block] = []
     for names, a, c in chains:
-        steps = np.diff(np.column_stack([_QUANTITIES[q](a, c, x, y) for q in names]), axis=1)
+        steps = np.diff(np.column_stack(cols.chain(names, a, c)), axis=1)
         with np.errstate(over="ignore"):  # a far pair's gap is inf; only diagonal ones count
             gap = np.abs(np.expm1(np.abs(steps).max(axis=1)))
         broken = diag & (gap > _EQUALITY_TOL)
@@ -616,9 +666,13 @@ def run_claims(which: str = "all", plan: SamplePlan = DEFAULT_PLAN, a: float | N
         if refused:
             raise ValueError(f"claim {which!r} takes no {'/'.join(refused)} override")
         rows = rows[:1]
+    # one plan per interval, made in this call: the rows share its samples
+    plans: dict[tuple[float, float], SamplePlan] = {}
     reports = []
     for _, template, check, defaults in rows:
         params = {**defaults, **overrides}
-        row_plan = replace(plan, interval=params.pop("interval", (1e-2, 50.0)))
-        reports.append(check(plan=row_plan, claim_id=template.format(**params), **params))
+        interval = params.pop("interval", (1e-2, 50.0))
+        if interval not in plans:
+            plans[interval] = replace(plan, interval=interval)
+        reports.append(check(plan=plans[interval], claim_id=template.format(**params), **params))
     return sorted(reports, key=lambda r: r.claim_id)

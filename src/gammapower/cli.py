@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Callable
 
 from .specfun import (
@@ -115,7 +115,8 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _point_dict(p: critical.CriticalPoint) -> dict:
-    return {**asdict(p), "kind": p.kind.value}
+    return {"kind": p.kind.value, "a": p.a, "value": p.value, "residual": p.residual,
+            "bracket": p.bracket, "iterations": p.iterations, "f_evals": p.f_evals}
 
 
 # solve --kind -> JSON payload; `critical` attributes are looked up per call.

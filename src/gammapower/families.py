@@ -104,7 +104,8 @@ def _total(fn):
 
     An ndarray x is computed under np.errstate, so that an overflow reaches
     this check and not stderr; for a float x, a division by an underflowed 0
-    or a math overflow is inf.
+    or a math overflow is inf.  Either way the error names the first entry
+    of x that fails as the float path does.
     """
     @functools.wraps(fn)
     def total(*args):
@@ -117,12 +118,18 @@ def _total(fn):
             if -math.inf < v < math.inf:
                 return float(v)
         else:
-            with np.errstate(all="ignore"):
-                v = fn(*args)
+            try:
+                with np.errstate(all="ignore"):
+                    v = fn(*args)
+            except (ZeroDivisionError, OverflowError):
+                # the array call cannot say which entry raised; the float path can
+                for xi in x.ravel().tolist():
+                    total(*args[:-1], float(xi))
+                raise
             bad = ~np.isfinite(v)
             if not bad.any():
                 return v
-            x, v = x[bad][0], v[bad][0]
+            x, v = float(x[bad][0]), float(v[bad][0])
         raise OverflowError(f"{fn.__name__} is not finite at x={x!r}: {v}")
     return total
 

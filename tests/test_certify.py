@@ -64,6 +64,32 @@ class TestSamplePlan:
         assert len(pairs) == n_axis * n_axis + SMALL.random_points
         assert np.array_equal(pairs, SMALL.pairs())
 
+    def test_points_match_masking_before_sorting(self):
+        # the cached sorted set, masked, against masking the unsorted set and then sorting
+        for plan, excluded in ((SamplePlan(interval=(-1.0, 1.0), grid_points=101, margin=0.05),
+                                [0.5, -0.25]), (SMALL, [1.0, 7.0])):
+            lo, hi = plan.interval
+            rng = np.random.default_rng(plan.seed)
+            if lo > 0.0:
+                grid = np.geomspace(lo, hi, plan.grid_points)
+                rand = np.exp(rng.uniform(math.log(lo), math.log(hi), plan.random_points))
+            else:
+                grid = np.linspace(lo, hi, plan.grid_points)
+                rand = rng.uniform(lo, hi, plan.random_points)
+            pts = np.concatenate([grid, rand])
+            keep = np.abs(pts) > plan.margin
+            for center in excluded:
+                keep &= np.abs(pts - center) > plan.margin
+            assert np.array_equal(plan.points(excluded), np.sort(pts[keep]))
+
+    def test_returned_samples_cannot_change_later_calls(self):
+        plan = SamplePlan(grid_points=64, random_points=32)
+        plan.points()[:] = 0.0
+        assert np.array_equal(plan.points(), SMALL.points())
+        with pytest.raises(ValueError):
+            plan.pairs()[0, 0] = 0.0
+        assert np.array_equal(plan.pairs(), SMALL.pairs())
+
     def test_bad_plan_rejected(self):
         for field, value in (
                 ("interval", (2.0, 1.0)), ("interval", (math.nan, 1.0)), ("interval", (1.0, math.inf)),
@@ -201,8 +227,24 @@ class TestInequalities:
         chains += [chain for _, cmp_chains in certify._COMPARISONS.values() for chain in cmp_chains]
         for names, a, c in chains:
             for x in (0.01, 0.7, 1.0, 13.0, 50.0):
-                values = [certify._QUANTITIES[q](a, c, x, x) for q in names]
+                column = np.array([x])
+                values = [v.item() for v in certify._PairColumns(column, column).chain(names, a, c)]
                 assert values == pytest.approx([0.0] * len(names), abs=1e-12), (names, a, c, x)
+
+    def test_pair_chains_evaluate_once_per_distinct_abscissa(self, monkeypatch):
+        # the default plan's 785 pairs have 535 distinct coordinates: the 23-point
+        # grid axis and 2 x 256 random ones; each ineq3 chain reads log Gamma(t+a)/t
+        # and h2(a, t) there, each computed once
+        sizes = collections.defaultdict(list)
+
+        def recording(name, fn):
+            return lambda *args: sizes[name].append(np.size(args[-1])) or fn(*args)
+
+        monkeypatch.setattr(certify, "log_gamma", recording("log_gamma", log_gamma))
+        monkeypatch.setattr(fam, "h2", recording("h2", fam.h2))
+        reports = run_claims("ineq3")
+        assert [r.verdict for r in reports] == [Verdict.CERTIFIED] * 2
+        assert sizes == {"log_gamma": [535, 535], "h2": [535, 535]}
 
     def test_violation_witnesses_name_the_failed_link(self, monkeypatch):
         # log Gamma -> -log Gamma flips the sign of r, which drops below its lower
@@ -274,6 +316,18 @@ class TestReportsAndCatalog:
         a = run_claims("constants", SMALL)
         b = run_claims("constants", SMALL)
         assert [r.to_json() for r in a] == [r.to_json() for r in b]
+
+    def test_each_run_claims_call_builds_its_samples_once(self, monkeypatch):
+        # the six lemma.ranges rows share one interval, so one plan and one grid;
+        # the next call builds its own
+        built = []
+        geomspace = np.geomspace
+        monkeypatch.setattr(certify.np, "geomspace", lambda *a: built.append(a) or geomspace(*a))
+        first = run_claims("lemma.ranges", SMALL)
+        assert len(first) == 6 and len(built) == 1
+        second = run_claims("lemma.ranges", SMALL)
+        assert len(built) == 2
+        assert [r.to_json() for r in first] == [r.to_json() for r in second]
 
     def test_run_claims_with_override(self):
         reports = run_claims("thm1.2.lcm", SMALL, a=2.5)

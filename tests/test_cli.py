@@ -104,6 +104,18 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    # h3's array call raises in math.lgamma, g2's returns inf; either way the
+    # range names its first failing x as the float path does there
+    @pytest.mark.parametrize("opts, first_bad", [
+        (("--fn", "h3", "--a", "1", "--x-min", "1", "--x-max", "1e308"), "5e+307"),
+        (("--fn", "g2", "--a", "1", "--c", "500", "--x-min", "0.001", "--x-max", "1"), "0.001"),
+    ], ids=["h3 math range error", "g2 overflow"])
+    def test_range_error_names_first_failing_x(self, capsys, opts, first_bad):
+        code, out, err = run(capsys, "eval", *opts, "--points", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: {opts[1]} is not finite at x={first_bad}: inf\n"
+        assert run(capsys, "eval", *opts[:-4], "--x", first_bad) == (2, "", err)
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "eval", "--fn", "psi", "--x", "1",
                              "--out", str(tmp_path / "missing" / "f"))
