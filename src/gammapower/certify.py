@@ -8,8 +8,11 @@ strict when the minimum observed margin exceeds 10*tol.
 
 Every check reduces to arrays of margins (>= 0 where the relation holds) at
 sample locations, and one core folds them into a report and its verdict.
-The module also houses the parameter-region taxonomy D1..D11 and the
-catalog of named claims driven by the command line (`verify --claim ...`).
+The public checks are certify_monotone, _lcm, _logconvex, _inequality and
+_range, and the `segments` and `expect_violation` combinators.  A plan owns
+its sorted points and its pairs, sorted to x <= y, with their distinct
+abscissae.  The module also houses the parameter-region taxonomy D1..D11 and
+the catalog of named claims driven by the command line (`verify --claim ...`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from . import critical
 __all__ = [
     "Region", "RegionError", "classify", "SamplePlan", "Verdict", "Witness", "ClaimReport",
     "C0_BRACKET", "certify_monotone", "certify_lcm", "certify_logconvex",
-    "certify_inequality", "certify_comparisons", "certify_constants", "certify_range",
+    "certify_inequality", "certify_range",
     "segments", "expect_violation", "claim_ids", "run_claims",
 ]
 
@@ -105,7 +108,7 @@ class SamplePlan:
     Positive intervals are sampled on a log grid, intervals reaching into
     negative x linearly.  `margin` is the exclusion radius around x = 0 and
     around known critical points where derivatives legitimately vanish.
-    Each plan builds its points and its pairs once, on first use.
+    Each plan builds its points and its pair table once, on first use.
     """
 
     interval: tuple[float, float] = (1e-2, 50.0)
@@ -149,21 +152,24 @@ class SamplePlan:
         return pts[keep]
 
     @functools.cached_property
-    def _pairs(self) -> np.ndarray:
+    def _pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted pairs, their distinct abscissae t, and the (2, N) index of x, y in t."""
         lo, hi = max(self.interval[0], 1e-12), self.interval[1]
         axis = np.geomspace(lo, hi, math.isqrt(self.grid_points - 1) + 1)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rng = np.random.default_rng(self.seed)
         raw = np.exp(rng.uniform(math.log(lo), math.log(hi), (self.random_points, 2)))
-        return _read_only(np.concatenate([grid, raw]))
+        pairs = np.sort(np.concatenate([grid, raw]), axis=1)
+        t, at = np.unique(pairs.T, return_inverse=True)
+        return _read_only(pairs), _read_only(t), _read_only(at.reshape(2, -1))
 
     def pairs(self) -> np.ndarray:
-        """(N, 2) array: grid x grid pairs (diagonal included), then seeded random pairs.
+        """(N, 2) array: grid x grid pairs (diagonal included), then random ones; x <= y.
 
         The grid axis has ceil(sqrt(grid_points)) log-spaced points.  The
         array is read-only: every call returns the same one.
         """
-        return self._pairs
+        return self._pair_table[0]
 
     def to_dict(self) -> dict:
         return {"interval": list(self.interval), "grid_points": self.grid_points,
@@ -356,58 +362,40 @@ def _lg_over(a: float, x: np.ndarray) -> np.ndarray:
     return log_gamma(x + a) / x
 
 
-class _PairColumns:
-    """The columns x <= y of pairs, and the family values that quantities share.
-
-    Within one chain, log Gamma(t+a)/t and h2(a, t) are each evaluated at
-    most once, at the distinct abscissae t of both columns, and gathered into
-    a (2, N) array: its row 0 at x, its row 1 at y.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x, self.y = x, y
-        self.t, inverse = np.unique(np.concatenate([x, y]), return_inverse=True)
-        self._at = inverse.reshape(2, -1)
-        self._shared: dict[tuple[str, float], np.ndarray] = {}
-
-    def _gather(self, name: str, a: float, fn: ArrayFn) -> np.ndarray:
-        if (name, a) not in self._shared:
-            self._shared[name, a] = fn(self.t)[self._at]
-        return self._shared[name, a]
-
-    def lg_over(self, a: float) -> np.ndarray:
-        return self._gather("lg_over", a, lambda t: _lg_over(a, t))
-
-    def h2(self, a: float) -> np.ndarray:
-        return self._gather("h2", a, lambda t: fam.h2(a, t))
-
-    def chain(self, names: Sequence[str], a: float, c: float) -> list[np.ndarray]:
-        """Each named quantity of a chain at the pairs."""
-        self._shared = {}  # the last chain's values are not kept
-        return [_QUANTITIES[q](a, c, self) for q in names]
-
-
-# Name -> f(a, c, p): the log-domain quantities at pairs 0 < x < y that the
-# corollary inequalities and the comparison remarks order, for the
-# _PairColumns p of the pairs.  r is the log of
-# (Gamma(x+a))^(1/x) / (Gamma(y+a))^(1/y), m that of Gamma(A+a)^(1/A) over the
-# geometric mean of the two family values, with A = (x+y)/2 and G = sqrt(xy).
-# Every quantity vanishes at x = y.
-_QUANTITIES: dict[str, Callable[[float, float, _PairColumns], np.ndarray]] = {
-    "r": lambda a, c, p: p.lg_over(a)[0] - p.lg_over(a)[1],
-    "m": lambda a, c, p: (_lg_over(a, 0.5 * (p.x + p.y))
-                          - 0.5 * (p.lg_over(a)[0] + p.lg_over(a)[1])),
-    "0": lambda a, c, p: 0.0 * p.x,
-    "c log(x/y)": lambda a, c, p: c * np.log(p.x / p.y),
-    "c log(A/G)": lambda a, c, p: c * np.log(0.5 * (p.x + p.y) / np.sqrt(p.x * p.y)),
-    "c log((x+a)/(y+a))": lambda a, c, p: c * np.log((p.x + a) / (p.y + a)),
-    "h2(y) log(x/y)": lambda a, c, p: p.h2(a)[1] * np.log(p.x / p.y),
-    "h2(x) log(x/y)": lambda a, c, p: p.h2(a)[0] * np.log(p.x / p.y),
-    "g3 lower bound": lambda a, c, p: ((p.h2(a)[1] - c * p.y / (p.y + a)) * np.log(p.x / p.y)
-                                       + c * np.log((p.x + a) / (p.y + a))),
-    "g3 upper bound": lambda a, c, p: ((p.h2(a)[0] - c * p.x / (p.x + a)) * np.log(p.x / p.y)
-                                       + c * np.log((p.x + a) / (p.y + a))),
+# Name -> f(a, c, x, y, lg, h2): the log-domain quantities at pairs 0 < x < y
+# that the corollary inequalities and the comparison remarks order, where lg
+# and h2 hold log Gamma(t+a)/t and h2(a, t) in row 0 at x and row 1 at y.  r is
+# the log of (Gamma(x+a))^(1/x) / (Gamma(y+a))^(1/y), m that of
+# Gamma(A+a)^(1/A) over the geometric mean of the two family values, with
+# A = (x+y)/2 and G = sqrt(xy).  Every quantity vanishes at x = y.
+_QUANTITIES: dict[str, Callable[..., np.ndarray]] = {
+    "r": lambda a, c, x, y, lg, h2: lg[0] - lg[1],
+    "m": lambda a, c, x, y, lg, h2: _lg_over(a, 0.5 * (x + y)) - 0.5 * (lg[0] + lg[1]),
+    "0": lambda a, c, x, y, lg, h2: 0.0 * x,
+    "c log(x/y)": lambda a, c, x, y, lg, h2: c * np.log(x / y),
+    "c log(A/G)": lambda a, c, x, y, lg, h2: c * np.log(0.5 * (x + y) / np.sqrt(x * y)),
+    "c log((x+a)/(y+a))": lambda a, c, x, y, lg, h2: c * np.log((x + a) / (y + a)),
+    "h2(y) log(x/y)": lambda a, c, x, y, lg, h2: h2[1] * np.log(x / y),
+    "h2(x) log(x/y)": lambda a, c, x, y, lg, h2: h2[0] * np.log(x / y),
+    "g3 lower bound": lambda a, c, x, y, lg, h2: ((h2[1] - c * y / (y + a)) * np.log(x / y)
+                                                  + c * np.log((x + a) / (y + a))),
+    "g3 upper bound": lambda a, c, x, y, lg, h2: ((h2[0] - c * x / (x + a)) * np.log(x / y)
+                                                  + c * np.log((x + a) / (y + a))),
 }
+
+
+def _chain(names: Sequence[str], a: float, c: float, t: np.ndarray,
+           at: np.ndarray) -> list[np.ndarray]:
+    """Each named quantity of a chain at the pairs x = t[at[0]], y = t[at[1]].
+
+    log Gamma(t+a)/t is evaluated once at the distinct abscissae t, and
+    h2(a, t) once when the chain has a closed-form bound (named h2... or g3...).
+    """
+    lg = _lg_over(a, t)[at]
+    h2 = fam.h2(a, t)[at] if any(q.startswith(("h2", "g3")) for q in names) else None
+    x, y = t[at]
+    return [_QUANTITIES[q](a, c, x, y, lg, h2) for q in names]
+
 
 # Diagonal pairs whose chain spreads by more than this (as a ratio) break equality.
 _EQUALITY_TOL = 1e-10
@@ -415,17 +403,16 @@ _EQUALITY_TOL = 1e-10
 def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float]]) -> list[Block]:
     """Blocks checking q0 <= q1 <= ... for each (names, a, c) chain.
 
-    The pairs are the plan's, each sorted to x <= y.  The margins are the
+    The pairs are the plan's, sorted to x <= y.  The margins are the
     differences of consecutive quantities on the pairs farther apart than
     tol; the diagonal pairs are checked for equality, which every chain is at
     x = y, and their witnesses follow the others.
     """
-    p = np.sort(plan.pairs(), axis=1)
-    cols = _PairColumns(p[:, 0], p[:, 1])
-    apart, diag = np.abs(cols.x - cols.y) > plan.tol, cols.x == cols.y
+    p, t, at = plan._pair_table
+    apart, diag = p[:, 1] - p[:, 0] > plan.tol, p[:, 0] == p[:, 1]
     out: list[Block] = []
     for names, a, c in chains:
-        steps = np.diff(np.column_stack(cols.chain(names, a, c)), axis=1)
+        steps = np.diff(np.column_stack(_chain(names, a, c, t, at)), axis=1)
         with np.errstate(over="ignore"):  # a far pair's gap is inf; only diagonal ones count
             gap = np.abs(np.expm1(np.abs(steps).max(axis=1)))
         broken = diag & (gap > _EQUALITY_TOL)
@@ -467,28 +454,8 @@ def _comparison(plan: SamplePlan, claim_id: str) -> ClaimReport:
     return _check(claim_id, fam.Params(*chains[0][1:]), plan, lambda: _chains(plan, chains), note)
 
 
-def certify_comparisons(plan: SamplePlan = DEFAULT_PLAN) -> list[ClaimReport]:
-    """The three "sharper bound" orderings between the corollary inequalities.
-
-    cmp1: on a=2, c<=0 the midpoint bound ((x+y)/(2 sqrt(xy)))^c <= 1, so the
-          unit lower bound on the midpoint ratio is the stronger statement.
-    cmp2: for c <= 0 with a in {1, 2}, (x/y)^{h2(x)} < 1 < (x/y)^c (0<x<y), so
-          the upper closed-form ratio bound beats both the unit bound and the
-          reversed power bound; for c >= 1 with a in D5 u D6 the lower
-          closed-form bound beats (x/y)^c.
-    cmp3: on a=2, c<=0 the closed-form upper bound of the two-sided g3
-          inequality stays below ((x+a)/(y+a))^c.
-    """
-    return [_comparison(plan, cid) for cid in _COMPARISONS]
-
-
-def certify_constants(plan: SamplePlan = DEFAULT_PLAN,
-                      claim_id: str = "constants.c0-bracket") -> ClaimReport:
-    """Recompute the published bracket constants for the log-convexity cutoff.
-
-    lower = 75(28 zeta(3) + pi^3)/64 - 75, printed prefix 0.77797
-    upper = 18(3 - gamma - log pi - pi^2/8), printed prefix 0.79837
-    """
+def _constants(plan: SamplePlan, claim_id: str) -> ClaimReport:
+    """The published c0 bracket constants: their printed prefixes, and lower < upper."""
     lower, upper = C0_BRACKET
     return _check(claim_id, fam.Params(a=math.nan), plan, lambda: [
         ([[lower]], [1.0 if math.floor(lower * 1e5) == 77797 else -1.0], "prefix 0.77797"),
@@ -590,7 +557,7 @@ def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
     geo2, geo3 = mono(lambda a, c, x: fam.h2(a, x) - c), mono(fam.x_logderiv_g3)
     inc, dec = "increasing", "decreasing"
     return [
-        ("constants", "constants.c0-bracket", certify_constants, {}),
+        ("constants", "constants.c0-bracket", _constants, {}),
         *[("thm1.1.mono", "thm1.1.mono.a={a:g}", _thm1_mono, dict(a=a))
           for a in (-1.0, 0.5, 1.5, 3.0)],
         *[("thm1.2.lcm", "thm1.2.lcm.a={a:g}", certify_lcm, dict(lcm, a=a))

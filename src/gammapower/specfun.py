@@ -25,7 +25,9 @@ work runs in a process that never loads numpy.
 Every public function returns a finite value or raises: DomainError for an
 argument outside (0, inf), nan and inf included, or an order outside
 1..MAX_ORDER, and OverflowError when the value exceeds the double range.
-An array raises if any entry would.  Everything here is a pure function of
+An array raises if any entry would.  The overflow text names the function
+and an x past the range, as in "psi^(3)(1e-300) exceeds the double range",
+for the float and array paths alike.  Everything here is a pure function of
 its inputs, so concurrent use is safe.
 """
 
@@ -102,6 +104,11 @@ def _positive_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _overflow(name: str, x: float) -> OverflowError:
+    """The error for a value of name(x) past the double range."""
+    return OverflowError(f"{name}({float(x)}) exceeds the double range")
+
+
 # Orders s up to MAX_ORDER + 1 for polygamma, and beyond for the delta_n tail.
 @functools.lru_cache(maxsize=512)
 def _corrections(s: int) -> tuple[float, ...]:
@@ -158,7 +165,8 @@ def _euler_maclaurin_array(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """:func:`_euler_maclaurin` at every entry of an array x in (0, inf).
 
     Each pass adds the term of every entry still below the edge, so the
-    loop runs ceil(edge - min x) times.
+    loop runs ceil(edge - min x) times.  Where a term exceeds the double
+    range the sum is inf.
     """
     edge = _edge(s)
     total, y = np.zeros(x.shape), x.copy()
@@ -166,8 +174,6 @@ def _euler_maclaurin_array(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         while (low := y < edge).any():
             total[low] += y[low] ** -s
             y[low] += 1.0
-        if not np.isfinite(total).all():
-            raise OverflowError(f"a term of the order-{s} sum exceeds the double range")
         return total + y**-s * _remainder(s, y), y
 
 
@@ -175,18 +181,31 @@ def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
     """log Gamma(x) for x > 0."""
     if type(x) is not float and isinstance(x, np.ndarray):
         x = _positive_array(x)
-        return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        try:
+            return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        except OverflowError:
+            # only large x overflow, and log Gamma increases there
+            raise _overflow("log Gamma", np.max(x)) from None
     _require_positive(x)
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise _overflow("log Gamma", x) from None
 
 
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
     """psi(x) for x > 0."""
     if type(x) is not float and isinstance(x, np.ndarray):
-        total, y = _euler_maclaurin_array(1, _positive_array(x))
+        x = _positive_array(x)
+        total, y = _euler_maclaurin_array(1, x)
+        if (total == math.inf).any():
+            raise _overflow("psi", np.min(x))  # the sum decreases in x
         return np.log(y) - total
     _require_positive(x)
-    total, y = _euler_maclaurin(1, x)
+    try:
+        total, y = _euler_maclaurin(1, x)
+    except OverflowError:
+        raise _overflow("psi", x) from None
     return math.log(y) - total
 
 
@@ -195,19 +214,22 @@ def polygamma(n: int, x: float | np.ndarray) -> float | np.ndarray:
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"polygamma order must be in 1..{MAX_ORDER}, got {n}")
     if type(x) is not float and isinstance(x, np.ndarray):
-        total, y = _euler_maclaurin_array(n + 1, _positive_array(x))
+        x = _positive_array(x)
+        total, y = _euler_maclaurin_array(n + 1, x)
         with np.errstate(over="ignore"):
             value = math.factorial(n) * (total + y**-n / n)
         overflow = (value == math.inf).any()
     else:
         _require_positive(x)
-        total, y = _euler_maclaurin(n + 1, x)
+        try:
+            total, y = _euler_maclaurin(n + 1, x)
+        except OverflowError:
+            raise _overflow(f"psi^({n})", x) from None
         value = math.factorial(n) * (total + y**-n / n)
         overflow = value == math.inf
     if overflow:
         # |psi^(n)| decreases in x, so the smallest x overflows first
-        raise OverflowError(f"psi^({n})({x if type(x) is float else np.min(x)}) "
-                            "exceeds the double range")
+        raise _overflow(f"psi^({n})", x if type(x) is float else np.min(x))
     return value if n % 2 == 1 else -value
 
 

@@ -18,8 +18,6 @@ from gammapower.certify import (
     RegionError,
     SamplePlan,
     Verdict,
-    certify_comparisons,
-    certify_constants,
     certify_inequality,
     certify_lcm,
     certify_logconvex,
@@ -63,6 +61,10 @@ class TestSamplePlan:
         n_axis = math.isqrt(SMALL.grid_points - 1) + 1
         assert len(pairs) == n_axis * n_axis + SMALL.random_points
         assert np.array_equal(pairs, SMALL.pairs())
+        assert (pairs[:, 0] <= pairs[:, 1]).all()
+        # the distinct abscissae t and the index of x and y in t rebuild the pairs
+        _, t, at = SMALL._pair_table
+        assert np.array_equal(t, np.unique(pairs)) and np.array_equal(t[at], pairs.T)
 
     def test_points_match_masking_before_sorting(self):
         # the cached sorted set, masked, against masking the unsorted set and then sorting
@@ -227,8 +229,8 @@ class TestInequalities:
         chains += [chain for _, cmp_chains in certify._COMPARISONS.values() for chain in cmp_chains]
         for names, a, c in chains:
             for x in (0.01, 0.7, 1.0, 13.0, 50.0):
-                column = np.array([x])
-                values = [v.item() for v in certify._PairColumns(column, column).chain(names, a, c)]
+                t, at = np.array([x]), np.zeros((2, 1), dtype=int)
+                values = [v.item() for v in certify._chain(names, a, c, t, at)]
                 assert values == pytest.approx([0.0] * len(names), abs=1e-12), (names, a, c, x)
 
     def test_pair_chains_evaluate_once_per_distinct_abscissa(self, monkeypatch):
@@ -245,6 +247,16 @@ class TestInequalities:
         reports = run_claims("ineq3")
         assert [r.verdict for r in reports] == [Verdict.CERTIFIED] * 2
         assert sizes == {"log_gamma": [535, 535], "h2": [535, 535]}
+
+    def test_pairs_are_sorted_and_indexed_once_per_plan(self, monkeypatch):
+        # the three cmp rows share one plan: its pairs are sorted to x <= y and
+        # their distinct abscissae taken once, not once per row
+        calls = collections.Counter()
+        for name in ("sort", "unique"):
+            monkeypatch.setattr(certify.np, name, lambda *args, _f=getattr(certify.np, name),
+                                _n=name, **kw: calls.update([_n]) or _f(*args, **kw))
+        assert len(run_claims("cmp", SMALL)) == 3
+        assert calls == {"sort": 1, "unique": 1}
 
     def test_violation_witnesses_name_the_failed_link(self, monkeypatch):
         # log Gamma -> -log Gamma flips the sign of r, which drops below its lower
@@ -266,7 +278,7 @@ class TestInequalities:
 
 class TestReportsAndCatalog:
     def test_report_json_schema(self):
-        r = certify_constants(SMALL)
+        (r,) = run_claims("constants", SMALL)
         d = json.loads(r.to_json())
         assert set(d) == {
             "claim_id", "params", "plan", "verdict", "witnesses", "n_witnesses",
@@ -290,7 +302,9 @@ class TestReportsAndCatalog:
         assert r.verdict is Verdict.CERTIFIED
 
     def test_comparisons_all_certified(self):
-        for r in certify_comparisons(SMALL):
+        reports = run_claims("cmp", SMALL)
+        assert [r.claim_id for r in reports] == ["cmp1", "cmp2", "cmp3"]
+        for r in reports:
             assert r.verdict is Verdict.CERTIFIED, r.claim_id
 
     def test_comparisons_evaluation_error_inconclusive(self, monkeypatch):
@@ -298,7 +312,9 @@ class TestReportsAndCatalog:
             raise ValueError("nope")
 
         monkeypatch.setattr(certify, "log_gamma", bad)
-        for r in certify_comparisons(SMALL):
+        reports = run_claims("cmp", SMALL)
+        assert len(reports) == 3
+        for r in reports:
             assert r.verdict is Verdict.INCONCLUSIVE, r.claim_id
             assert "nope" in r.note
 
@@ -368,12 +384,15 @@ def test_catalog_matches_expected_verdicts():
     got = {r.claim_id: r.verdict.value for r in reports}
     assert len(got) == 52
     assert got == expected
-    # strict, n_witnesses and min_margin of each certificate at the default plan
+    # strict, n_witnesses, note, the witnesses' relations and min_margin of each
+    # certificate at the default plan; an only-if note names its inner check's id
     golden = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
     assert {r.claim_id for r in reports} == set(golden)
     for r in reports:
         d, want = r.to_dict(), golden[r.claim_id]
         assert (d["strict"], d["n_witnesses"]) == (want["strict"], want["n_witnesses"]), r.claim_id
+        assert d["note"] == want["note"], r.claim_id
+        assert sorted({w["required"] for w in d["witnesses"]}) == want["required"], r.claim_id
         assert d["min_margin"] == pytest.approx(want["min_margin"], rel=1e-9, abs=0), r.claim_id
 
 

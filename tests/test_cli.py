@@ -116,6 +116,17 @@ class TestEval:
         assert err == f"error: {opts[1]} is not finite at x={first_bad}: inf\n"
         assert run(capsys, "eval", *opts[:-4], "--x", first_bad) == (2, "", err)
 
+    # a special function past the double range names itself and an x that
+    # overflows, at a point and over a range alike
+    @pytest.mark.parametrize("opts, call", [
+        (("--fn", "polygamma", "--n", "3", "--x", "1e-300"), "psi^(3)(1e-300)"),
+        (("--fn", "polygamma", "--n", "3", "--x-min", "1e-300", "--x-max", "1", "--points", "3"),
+         "psi^(3)(1e-300)"),
+        (("--fn", "gamma_log", "--x", "1e308"), "log Gamma(1e+308)"),
+    ], ids=["polygamma point", "polygamma range", "gamma_log point"])
+    def test_special_function_overflow_names_call(self, capsys, opts, call):
+        assert run(capsys, "eval", *opts) == (2, "", f"error: {call} exceeds the double range\n")
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "eval", "--fn", "psi", "--x", "1",
                              "--out", str(tmp_path / "missing" / "f"))

@@ -246,5 +246,10 @@ class TestArrayPath:
         (log_gamma, 1.7e308), (digamma, 5e-324), (lambda x: polygamma(63, x), 1e-4),
     ], ids=["log_gamma(1.7e308)", "digamma(5e-324)", "polygamma(63,1e-4)"])
     def test_overflow_error(self, fn, x):
-        with pytest.raises(OverflowError):
+        # the array names the same call as the float path
+        with pytest.raises(OverflowError) as array:
             fn(np.array([1.0, x]))
+        with pytest.raises(OverflowError) as point:
+            fn(x)
+        assert str(array.value) == str(point.value)
+        assert str(point.value).endswith(f"({x}) exceeds the double range")
