@@ -7,12 +7,13 @@ not proof: "strictly" claims are accepted at margin >= -tol and flagged
 strict when the minimum observed margin exceeds 10*tol.
 
 Every check reduces to arrays of margins (>= 0 where the relation holds) at
-sample locations, and one core folds them into a report and its verdict.
-The public checks are certify_monotone, _lcm, _logconvex, _inequality and
+sample locations, and one core, `_check`, folds them into a report and its
+verdict; it alone computes them with numpy's floating-point errors off.  The
+public checks are certify_monotone, _lcm, _logconvex, _inequality and
 _range, and the `segments` and `expect_violation` combinators.  A plan owns
-its sorted points and its pairs, sorted to x <= y, with their distinct
-abscissae.  The module also houses the parameter-region taxonomy D1..D11 and
-the catalog of named claims driven by the command line (`verify --claim ...`).
+its sorted points and its pairs, each once with x <= y, and their abscissae.
+The module also houses the parameter-region taxonomy D1..D11 and the
+catalog of named claims driven by the command line (`verify --claim ...`).
 """
 
 from __future__ import annotations
@@ -156,18 +157,19 @@ class SamplePlan:
         """The sorted pairs, their distinct abscissae t, and the (2, N) index of x, y in t."""
         lo, hi = max(self.interval[0], 1e-12), self.interval[1]
         axis = np.geomspace(lo, hi, math.isqrt(self.grid_points - 1) + 1)
-        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rng = np.random.default_rng(self.seed)
         raw = np.exp(rng.uniform(math.log(lo), math.log(hi), (self.random_points, 2)))
-        pairs = np.sort(np.concatenate([grid, raw]), axis=1)
+        pairs = np.concatenate([axis[np.stack(np.triu_indices(axis.size), axis=1)],
+                                np.sort(raw, axis=1)])
         t, at = np.unique(pairs.T, return_inverse=True)
         return _read_only(pairs), _read_only(t), _read_only(at.reshape(2, -1))
 
     def pairs(self) -> np.ndarray:
-        """(N, 2) array: grid x grid pairs (diagonal included), then random ones; x <= y.
+        """(N, 2) array: each grid pair x <= y once (diagonal included), then random ones.
 
-        The grid axis has ceil(sqrt(grid_points)) log-spaced points.  The
-        array is read-only: every call returns the same one.
+        The grid axis has n = ceil(sqrt(grid_points)) log-spaced points, so
+        there are n (n + 1) / 2 grid pairs; each random pair is sorted to
+        x <= y.  The array is read-only: every call returns the same one.
         """
         return self._pair_table[0]
 
@@ -240,18 +242,20 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
            blocks: Callable[[], list[Block]], note: str = "") -> ClaimReport:
     """The certification core: evaluate `blocks()` and fold it into a report.
 
-    A margin below -tol is a violation witness; all are counted, and the
-    first _MAX_WITNESSES, block by block in row-major order, are listed.  An
+    `blocks()` runs with numpy's floating-point errors off.  A margin below
+    -tol is a violation witness; all are counted, and the first
+    _MAX_WITNESSES, block by block in row-major order, are listed.  An
     evaluation error, a run that checks no margin, or a non-finite margin
-    makes the report inconclusive.
+    (an overflow, say) makes the report inconclusive.
     """
     report = ClaimReport(claim_id, params, plan, Verdict.INCONCLUSIVE, note=note)
     built = []
     try:
-        for where, margins, required in blocks():
-            m = np.asarray(margins, dtype=float)
-            built.append((np.asarray(where, dtype=float),
-                          m.reshape(len(where), -1 if m.size else 0), required))
+        with np.errstate(all="ignore"):
+            for where, margins, required in blocks():
+                m = np.asarray(margins, dtype=float)
+                built.append((np.asarray(where, dtype=float),
+                              m.reshape(len(where), -1 if m.size else 0), required))
     except (ValueError, ArithmeticError) as exc:
         report.note = f"evaluation error: {exc}"
         return report
@@ -276,6 +280,12 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
 _DIRECTION_SIGN = {"increasing": 1.0, "decreasing": -1.0}
 
 
+def _require_directions(directions: Sequence[str]) -> None:
+    """ValueError naming the first direction that is not increasing or decreasing."""
+    if unknown := [d for d in directions if d not in _DIRECTION_SIGN]:
+        raise ValueError(f"unknown direction {unknown[0]!r}")
+
+
 ArrayFn = Callable[["np.ndarray"], "np.ndarray"]
 
 
@@ -293,8 +303,7 @@ def certify_monotone(fn: ArrayFn, plan: SamplePlan, direction: str, claim_id: st
 
     fn maps the ndarray of sample points to the ndarray of its values.
     """
-    if direction not in _DIRECTION_SIGN:
-        raise ValueError(f"unknown direction {direction!r}")
+    _require_directions([direction])
     return _check(claim_id, params, plan, lambda: [_monotone(fn, plan, direction)])
 
 
@@ -307,8 +316,9 @@ def segments(claim_id: str, params: fam.Params, plan: SamplePlan, fn: ArrayFn,
     once per piece.  Each piece is sampled on its own interval with an equal
     share of the plan's grid (at least 16) and random points; a piece
     narrower than four margins is skipped.  The note defaults to the number
-    of pieces checked.
+    of pieces checked.  An unknown direction raises ValueError.
     """
+    _require_directions([d for _, d in pieces])
     k = len(pieces)
     kept = [(replace(plan, interval=iv, grid_points=max(plan.grid_points // k, 16),
                      random_points=plan.random_points // k), direction)
@@ -403,7 +413,7 @@ _EQUALITY_TOL = 1e-10
 def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float]]) -> list[Block]:
     """Blocks checking q0 <= q1 <= ... for each (names, a, c) chain.
 
-    The pairs are the plan's, sorted to x <= y.  The margins are the
+    The pairs are the plan's, each once with x <= y.  The margins are the
     differences of consecutive quantities on the pairs farther apart than
     tol; the diagonal pairs are checked for equality, which every chain is at
     x = y, and their witnesses follow the others.
@@ -413,11 +423,10 @@ def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float
     out: list[Block] = []
     for names, a, c in chains:
         steps = np.diff(np.column_stack(_chain(names, a, c, t, at)), axis=1)
-        with np.errstate(over="ignore"):  # a far pair's gap is inf; only diagonal ones count
-            gap = np.abs(np.expm1(np.abs(steps).max(axis=1)))
-        broken = diag & (gap > _EQUALITY_TOL)
+        gap = np.abs(np.expm1(np.abs(steps[diag]).max(axis=1)))
+        broken = gap > _EQUALITY_TOL
         out += [(p[apart], steps[apart], [f"{lo} <= {hi}" for lo, hi in zip(names, names[1:])]),
-                (p[broken], -gap[broken], "equality at x = y")]
+                (p[diag][broken], -gap[broken], "equality at x = y")]
     return out
 
 
@@ -502,7 +511,7 @@ def _thm1_mono(plan: SamplePlan, claim_id: str, a: float) -> ClaimReport:
     hi, m = plan.interval[1], plan.margin
     excl: list[float] = []
     if a <= 0:
-        lo = -a + max(0.01, abs(a) * 1e-3) if a < 0 else max(-a + 0.01, plan.interval[0] - 52.0)
+        lo = -a + max(0.01, abs(a) * 1e-3)
         excl = [critical.find_x0(a).value]
         pieces = [((lo, excl[0]), "increasing"), ((excl[0], hi), "decreasing")]
     elif 0 < a < 1 or a > 2:

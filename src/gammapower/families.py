@@ -38,11 +38,14 @@ S_k = x^k zeta(k, x+a)/k = sum_{j>=0} (x/(x+a+j))^k / k (DLMF 5.15.2), and
 near x = 0 it takes the tail form delta_n = -log Gamma(a) + sum_{k>n} S_k.
 That tail is summed per ratio r = x/(x+a+j), as r^(n+1) h_n(r) with
 h_n(r) = sum_{m>=0} r^m/(n+1+m) = B(r; n+1, 0)/r^(n+1) (DLMF 8.17).
+
+Known defect: f, g, log_g2 and log_g3 take log Gamma(x+a)/x directly, which
+cancels near x = 0 at a in {1, 2}; only log_g1 takes its power series there.
+At a = 1, x = 1e-8, f and g3 are 2.6e-8 relative off mpmath, g1 1.3e-17.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -181,7 +184,10 @@ def _split(x, inner, f_in, f_out):
 
 @_total
 def f_family(p: Params, x):
-    """((Gamma(x+a))^(1/x) / x^c)^(+-1); x > 0 when c != 0 (real power of x)."""
+    """((Gamma(x+a))^(1/x) / x^c)^(+-1); x > 0 when c != 0 (real power of x).
+
+    Known defect: inexact near x = 0 at a in {1, 2}; see the module docstring.
+    """
     _require("f", p.a, x, -p.a if p.c == 0.0 else max(-p.a, 0.0), zero=False)
     v = log_gamma(x + p.a) / x - p.c * _log(x) if p.c != 0.0 else log_gamma(x + p.a) / x
     return _exp(-v if p.sign is Sign.MINUS else v)
@@ -189,7 +195,10 @@ def f_family(p: Params, x):
 
 @_total
 def g_family(p: Params, x):
-    """((Gamma(x+a))^(1/x) / (x+a)^c)^(+-1)."""
+    """((Gamma(x+a))^(1/x) / (x+a)^c)^(+-1).
+
+    Known defect: inexact near x = 0 at a in {1, 2}; see the module docstring.
+    """
     _require("g", p.a, x, -p.a, zero=False)
     v = log_gamma(x + p.a) / x - p.c * _log(x + p.a)
     return _exp(-v if p.sign is Sign.MINUS else v)
@@ -241,7 +250,7 @@ def g1(a: float, x):
 
 @_total
 def log_g2(a: float, c: float, x):
-    """log g2(x) on (0, inf)."""
+    """log g2(x) on (0, inf); known defect: inexact near 0 at a in {1, 2} (module docstring)."""
     _require("g2", a, x, 0.0, a_lo=0.0)
     return log_gamma(x + a) / x - c * _log(x)
 
@@ -254,7 +263,7 @@ def g2(a: float, c: float, x):
 
 @_total
 def log_g3(a: float, c: float, x):
-    """log g3(x) on (0, inf)."""
+    """log g3(x) on (0, inf); known defect: inexact near 0 at a in {1, 2} (module docstring)."""
     _require("g3", a, x, 0.0, a_lo=0.0)
     return log_gamma(x + a) / x - c * _log(x + a)
 
@@ -459,7 +468,8 @@ def _deltas(a: float, n: int, x, scaled: bool = False):
     """delta_1(x)..delta_n(x) (/ x^(k+1) on `scaled` tail rows) by :func:`_delta_side`.
 
     A list for a float; for an ndarray, shape (n,) + x.shape, in blocks of 4096
-    rows.  The caller checks the domain and runs an ndarray under np.errstate.
+    rows.  The caller checks the domain, runs an ndarray under np.errstate and
+    checks that its values are finite.
     """
     tail = _tail_rows(a, x)
     if type(x) is float or not isinstance(x, np.ndarray):
@@ -508,8 +518,9 @@ def _margin_orders(a: float, x, max_order: int, name: str) -> list:
     product of k/m (below n!), 1/m and an exact 2^(-(n+1) e): finite wherever
     the value is.  At a in {1, 2} tail rows, x = 0 among them, come scaled
     and take n! alone; x = 0 gives n! zeta(n+1, a)/(n+1) = -(-1)^n
-    psi^(n)(a)/(n+1).  Past the double range an ndarray raises OverflowError
-    naming `name`; a float gives inf or raises it.
+    psi^(n)(a)/(n+1).  Past the double range a float gives inf or raises
+    OverflowError, and an ndarray entry is inf or nan: the caller runs an
+    ndarray under np.errstate and checks that its values are finite.
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise DomainError(f"{name} requires 1 <= n <= {MAX_ORDER}, got {max_order}")
@@ -520,12 +531,9 @@ def _margin_orders(a: float, x, max_order: int, name: str) -> list:
     keep = 1 - (scaled & _tail_rows(a, x))  # scaled rows come as delta_n / x^(n+1)
     m, shift = m**keep, shift * keep  # m = 1 and no shift there
     scale, margins = 1.0, []
-    with np.errstate(all="ignore") if lib is np else contextlib.nullcontext():
-        for k, d in enumerate(_deltas(a, max_order, x, scaled), 1):
-            scale = scale * (k / m)
-            margins.append(lib.ldexp(scale / m * d, (k + 1) * shift))
-    if lib is np and not all(np.isfinite(v).all() for v in margins):
-        raise OverflowError(f"{name}: a value exceeds the double range")
+    for k, d in enumerate(_deltas(a, max_order, x, scaled), 1):
+        scale = scale * (k / m)
+        margins.append(lib.ldexp(scale / m * d, (k + 1) * shift))
     return margins
 
 

@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,14 +58,18 @@ class TestSamplePlan:
         assert all(abs(x - 0.5) > 0.05 for x in pts)
 
     def test_pairs_count_and_determinism(self):
-        pairs = SMALL.pairs()
-        n_axis = math.isqrt(SMALL.grid_points - 1) + 1
-        assert len(pairs) == n_axis * n_axis + SMALL.random_points
-        assert np.array_equal(pairs, SMALL.pairs())
-        assert (pairs[:, 0] <= pairs[:, 1]).all()
-        # the distinct abscissae t and the index of x and y in t rebuild the pairs
-        _, t, at = SMALL._pair_table
-        assert np.array_equal(t, np.unique(pairs)) and np.array_equal(t[at], pairs.T)
+        # each unordered grid pair once, diagonal included: 8 axis points give 36
+        # pairs for SMALL, and 23 give 276 for the default plan (532 in all)
+        for plan, expected in ((SMALL, 36 + 32), (SamplePlan(), 276 + 256)):
+            pairs = plan.pairs()
+            n_axis = math.isqrt(plan.grid_points - 1) + 1
+            assert len(pairs) == n_axis * (n_axis + 1) // 2 + plan.random_points == expected
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+            assert np.array_equal(pairs, replace(plan).pairs())
+            assert (pairs[:, 0] <= pairs[:, 1]).all()
+            # the distinct abscissae t and the index of x and y in t rebuild the pairs
+            _, t, at = plan._pair_table
+            assert np.array_equal(t, np.unique(pairs)) and np.array_equal(t[at], pairs.T)
 
     def test_points_match_masking_before_sorting(self):
         # the cached sorted set, masked, against masking the unsorted set and then sorting
@@ -122,8 +127,11 @@ class TestMonotone:
         assert "nope" in r.note
 
     def test_unknown_direction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
             certify_monotone(np.log, SMALL, "sideways")
+        pieces = [((1.0, 2.0), "increasing"), ((2.0, 3.0), "sideways")]
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            segments("seg", fam.Params(a=1.0), SMALL, np.log, pieces)
 
     def test_no_margin_is_not_certified(self):
         # one sample point leaves no consecutive pair to compare
@@ -137,6 +145,16 @@ class TestMonotone:
                           SamplePlan(grid_points=64, random_points=0), 0.0, 1.0)
         assert r.verdict is Verdict.INCONCLUSIVE
         assert "non-finite" in r.note
+
+    def test_floating_point_errors_become_non_finite_margins(self):
+        # the core evaluates every check with numpy's floating-point errors off,
+        # so a division by zero or an overflow reaches its finiteness test and
+        # no RuntimeWarning escapes
+        plan = SamplePlan(grid_points=16, random_points=0)
+        r = certify_range(lambda x: 1.0 / (x - x), plan, 0.0)
+        assert (r.verdict, r.note) == (Verdict.INCONCLUSIVE, "16 non-finite margins")
+        r = certify_lcm(0.5, 170, replace(plan, interval=(2e-3, 1.0)))
+        assert (r.verdict, r.note) == (Verdict.INCONCLUSIVE, "956 non-finite margins")
 
     def test_segments_all_skipped_not_certified(self):
         pieces = [((1.0, 1.001), "increasing"), ((2.0, 2.002), "decreasing")]
@@ -175,6 +193,15 @@ class TestTheoremClaims:
         for order in (0, 171):
             with pytest.raises(ValueError, match="max_order"):
                 certify_lcm(1.5, order, SMALL)
+
+    def test_thm1_mono_left_end_for_a_at_most_0(self, monkeypatch):
+        # one formula for every a <= 0, signed zeros included, whatever the interval
+        pieces = []
+        monkeypatch.setattr(certify, "segments", lambda *args, **kw: pieces.append(args[4]))
+        for a in (0.0, -0.0, -1e-12, -1.0):
+            for plan in (SMALL, SamplePlan(interval=(60.0, 100.0))):
+                certify._thm1_mono(plan, "thm1.1.mono", a)
+                assert pieces.pop()[0][0][0] == -a + max(0.01, abs(a) * 1e-3) + plan.margin
 
     def test_logconvex(self):
         assert certify_logconvex(3.0, 1.0, SMALL, "convex").verdict is Verdict.CERTIFIED
@@ -234,7 +261,7 @@ class TestInequalities:
                 assert values == pytest.approx([0.0] * len(names), abs=1e-12), (names, a, c, x)
 
     def test_pair_chains_evaluate_once_per_distinct_abscissa(self, monkeypatch):
-        # the default plan's 785 pairs have 535 distinct coordinates: the 23-point
+        # the default plan's 532 pairs have 535 distinct coordinates: the 23-point
         # grid axis and 2 x 256 random ones; each ineq3 chain reads log Gamma(t+a)/t
         # and h2(a, t) there, each computed once
         sizes = collections.defaultdict(list)
@@ -259,13 +286,24 @@ class TestInequalities:
         assert calls == {"sort": 1, "unique": 1}
 
     def test_violation_witnesses_name_the_failed_link(self, monkeypatch):
-        # log Gamma -> -log Gamma flips the sign of r, which drops below its lower
-        # bound; the upper bound and the diagonal hold
+        # log Gamma -> -log Gamma flips the sign of r, which breaks links of the
+        # ineq3 chain at pairs x < y; the diagonal holds
         monkeypatch.setattr(certify, "log_gamma", lambda t: -log_gamma(t))
-        r = certify_inequality("ineq3", fam.Params(a=3.0), SMALL)
-        assert r.verdict is Verdict.VIOLATED
-        assert {w.required for w in r.witnesses} == {"h2(y) log(x/y) <= r"}
-        assert all(x < y for x, y in (w.where for w in r.witnesses))
+        names, a = certify._INEQUALITIES["ineq3"][0], 3.0
+        r = certify_inequality("ineq3", fam.Params(a=a), SMALL)
+        assert r.verdict is Verdict.VIOLATED and len(r.witnesses) == 20
+        links = [f"{lo} <= {hi}" for lo, hi in zip(names, names[1:])]
+        for w in r.witnesses:
+            # the named link's difference, recomputed at the witness's pair
+            (x, y), k = w.where, links.index(w.required)
+            values = certify._chain(names, a, 0.0, np.array([x, y]), np.array([[0], [1]]))
+            assert x < y and (values[k + 1] - values[k]).item() == w.observed < -SMALL.tol
+        # each violated (distinct pair, link) entry is counted once
+        distinct = np.unique(SMALL.pairs(), axis=0)
+        distinct = distinct[distinct[:, 1] - distinct[:, 0] > SMALL.tol]
+        t, at = np.unique(distinct.T, return_inverse=True)
+        steps = np.diff(certify._chain(names, a, 0.0, t, at.reshape(2, -1)), axis=0)
+        assert r.n_witnesses == np.count_nonzero(steps < -SMALL.tol) == 49
 
     def test_ineq4_orientation(self):
         direct = certify_inequality("ineq4", fam.Params(a=0.75, c=1.5), SMALL)
