@@ -7,6 +7,12 @@ Verbs:
     sweep      write a CSV over an (a, x) grid, for external plotting
     constants  print the built-in constants and the c0 bracket values
 
+A request that starts with a verb is parsed once, by that verb's own parser:
+the sub-parser the full parser would hand it to.  The full parser takes
+every other request (no verb first, or arguments the verb's parser leaves
+unrecognised), so it alone writes help, usage and error reports.  An eval
+range is written by one % over its whole grid.
+
 Exit codes: 0 = evaluated / all certified, 1 = violation found,
 2 = usage or domain error, arithmetic failure (an overflow, which the
 library raises instead of returning a value that is not finite, or an
@@ -46,9 +52,13 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _rows(xs: list[float], vs: list[float]) -> str:
-    """The lines "x,value" of an eval range, each number as _fmt writes it: one % a line."""
-    return "".join(map("%.17g,%.17g\n".__mod__, zip(xs, vs)))
+def _rows(xs, vs) -> str:
+    """The lines "x,value" of an eval range, each number as _fmt writes it, by one %.
+
+    xs and vs are 1-d arrays (or lists) of one length.
+    """
+    values = np.column_stack((xs, vs)).ravel().tolist()
+    return ("%.17g,%.17g\n" * len(xs)) % tuple(values)
 
 
 # name -> callable(args, x), for a float x or an ndarray of x
@@ -102,7 +112,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def _grid(lo: float, hi: float, n: int) -> list[float]:
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     """np.linspace(lo, hi, n); a range wider than the largest double is an error.
 
     Near that width linspace's last step may round past the double range; it
@@ -111,7 +121,7 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     if not math.isfinite(hi - lo):
         raise ValueError(f"the range {lo!r} .. {hi!r} is too wide for a grid")
     with np.errstate(over="ignore"):
-        return np.linspace(lo, hi, n).tolist()
+        return np.linspace(lo, hi, n)
 
 
 def _point_dict(p: critical.CriticalPoint) -> dict:
@@ -189,13 +199,35 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _verb_parsers() -> dict[str, argparse.ArgumentParser]:
+    """verb -> the sub-parser that `_parser()` hands that verb's arguments to."""
+    (sub,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _parse(args: list[str]) -> argparse.Namespace:
+    """`_parser().parse_args(args)`, in one pass where args[0] names a verb.
+
+    The full parser would hand args[1:] to that verb's parser.  It runs only
+    on a request that starts with no verb or leaves arguments unrecognised,
+    so help, usage and error texts stay its own.
+    """
+    verb_parser = _verb_parsers().get(args[0]) if args else None
+    if verb_parser is not None:
+        ns, unrecognised = verb_parser.parse_known_args(args[1:])
+        if not unrecognised:
+            ns.verb = args[0]
+            return ns
+    return _parser().parse_args(args)
+
+
 def _run_eval(ns, out) -> int:
     if ns.x is not None:
         text = _fmt(FN_CATALOG[ns.fn](ns, ns.x)) + "\n"
     else:
         xs = _grid(ns.x_min, ns.x_max, ns.points)
-        vs = FN_CATALOG[ns.fn](ns, np.array(xs)).tolist()
-        text = "x,value\n" + _rows(xs, vs)
+        text = "x,value\n" + _rows(xs, FN_CATALOG[ns.fn](ns, xs))
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text)
@@ -231,7 +263,8 @@ def _run_verify(ns, out) -> int:
 
 
 def _run_sweep(ns, out) -> int:
-    xs, grid_a = _grid(ns.x_min, ns.x_max, ns.points), _grid(ns.a_min, ns.a_max, ns.a_points)
+    xs = _grid(ns.x_min, ns.x_max, ns.points).tolist()
+    grid_a = _grid(ns.a_min, ns.a_max, ns.a_points).tolist()
     with open(ns.out, "w") as fh:
         fh.write("a,x,value\n")
         for a in grid_a:
@@ -267,7 +300,7 @@ _VERBS = {"eval": _run_eval, "solve": _run_solve, "verify": _run_verify, "sweep"
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else argv)
         if getattr(ns, "fn", None) in _TAKES_N and ns.n is None:
             parser.error(f"--fn {ns.fn} requires --n (derivative/series order)")
         if ns.verb == "eval" and ns.x is None and (ns.x_min is None or ns.x_max is None):

@@ -498,6 +498,8 @@ def delta_n(a: float, n: int, x):
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"delta_n requires 1 <= n <= {MAX_ORDER}, got {n}")
     _require("delta_n", a, x, -a)
+    if (type(x) is float or not isinstance(x, np.ndarray)) and x == 0.0:
+        return 0.0 - log_gamma(a)  # every S_k is 0; 0.0 - keeps log Gamma(1) = 0 unsigned
     return _deltas(a, n, x)[-1]
 
 
@@ -511,6 +513,14 @@ def log_g1_deriv(a: float, n: int, x):
     return (-1.0) ** n * _margin_orders(a, x, n, "log_g1_deriv")[-1]
 
 
+def _signed_ldexp(v: float, e: int) -> float:
+    """math.ldexp(v, e), or inf with the sign of v where that exceeds the double range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def _margin_orders(a: float, x, max_order: int, name: str) -> list:
     """[n! delta_n(x)/x^(n+1) for n = 1..max_order], each a float or an ndarray like x.
 
@@ -518,14 +528,15 @@ def _margin_orders(a: float, x, max_order: int, name: str) -> list:
     product of k/m (below n!), 1/m and an exact 2^(-(n+1) e): finite wherever
     the value is.  At a in {1, 2} tail rows, x = 0 among them, come scaled
     and take n! alone; x = 0 gives n! zeta(n+1, a)/(n+1) = -(-1)^n
-    psi^(n)(a)/(n+1).  Past the double range a float gives inf or raises
-    OverflowError, and an ndarray entry is inf or nan: the caller runs an
-    ndarray under np.errstate and checks that its values are finite.
+    psi^(n)(a)/(n+1).  Past the double range a value is inf with its sign
+    (or nan): the caller runs an ndarray under np.errstate and checks that
+    its values are finite.
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise DomainError(f"{name} requires 1 <= n <= {MAX_ORDER}, got {max_order}")
     _require(name, a, x, -a, zero=a in (1.0, 2.0))
     lib = math if type(x) is float or not isinstance(x, np.ndarray) else np
+    ldexp = _signed_ldexp if lib is math else np.ldexp
     frac, exp2 = lib.frexp(x)
     m, shift, scaled = 2.0 * frac, 1 - exp2, a in (1.0, 2.0)
     keep = 1 - (scaled & _tail_rows(a, x))  # scaled rows come as delta_n / x^(n+1)
@@ -533,7 +544,7 @@ def _margin_orders(a: float, x, max_order: int, name: str) -> list:
     scale, margins = 1.0, []
     for k, d in enumerate(_deltas(a, max_order, x, scaled), 1):
         scale = scale * (k / m)
-        margins.append(lib.ldexp(scale / m * d, (k + 1) * shift))
+        margins.append(ldexp(scale / m * d, (k + 1) * shift))
     return margins
 
 

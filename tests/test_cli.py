@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ import gammapower
 from gammapower import critical
 from gammapower.certify import claim_ids
 from gammapower.cli import FN_CATALOG, main
-from gammapower.specfun import EULER_GAMMA
+from gammapower.specfun import EULER_GAMMA, digamma
 
 
 def run(capsys, *argv):
@@ -67,19 +68,24 @@ class TestEval:
         lines = out.strip().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 6
-        from gammapower.specfun import digamma
-
         for line in lines[1:]:
             x, v = (float(t) for t in line.split(","))
             assert v == digamma(x)  # 17g format round-trips exactly
 
-    def test_range_rows_match_fmt(self):
-        # the range's one-format-a-line rows write each number as _fmt does
-        from gammapower.cli import _fmt, _rows
+    def test_range_rows_match_fmt(self, capsys):
+        # the range's one-format rows write each number as _fmt does
+        from gammapower.cli import _fmt, _grid, _rows
 
         vs = [5e-324, 0.1, 1.0 / 3.0, -2.5, 1e308]
         xs = vs[::-1]
         assert _rows(xs, vs) == "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, vs))
+        for lo, hi, n in ((5e-324, 1e-320, 7), (-1e308, -1e-300, 5), (-3.5, 1e308, 4),
+                          (0.25, 0.25, 1)):
+            xs = _grid(lo, hi, n)
+            vs = -xs[::-1]
+            assert _rows(xs, vs) == "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, vs))
+        code, out, _ = run(capsys, "eval", "--fn", "psi", "--x-min=0.5", "--x-max=9", "--points=1")
+        assert (code, out) == (0, f"x,value\n0.5,{_fmt(digamma(0.5))}\n")
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "psi", "--x", "-1")
@@ -126,6 +132,12 @@ class TestEval:
     ], ids=["polygamma point", "polygamma range", "gamma_log point"])
     def test_special_function_overflow_names_call(self, capsys, opts, call):
         assert run(capsys, "eval", *opts) == (2, "", f"error: {call} exceeds the double range\n")
+
+    def test_overflow_sign_is_the_same_at_a_point_and_over_a_range(self, capsys):
+        opts = ("--fn", "log_g1_deriv", "--a", "0.5", "--n", "170")
+        want = (2, "", "error: log_g1_deriv is not finite at x=0.002: -inf\n")
+        assert run(capsys, "eval", *opts, "--x", "0.002") == want
+        assert run(capsys, "eval", *opts, "--x-min", "0.002", "--x-max", "1", "--points", "3") == want
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "eval", "--fn", "psi", "--x", "1",
@@ -426,6 +438,62 @@ class TestSweepAndConstants:
         assert "thm1.2.lcm" in out.split()
 
 
+def _well_formed(verb: str, draw) -> list[str]:
+    """A request shaped like the benchmark's: numbers in --flag=value form."""
+    num = st.floats(-4.0, 4.0, allow_subnormal=False)
+    if verb == "solve":
+        kind = draw(st.sampled_from(["x0", "x1x2", "x3", "x4", "t4tilde", "threshold-g2",
+                                     "threshold-g3"]))
+        return ["solve", "--kind", kind, f"--a={draw(num)!r}"]
+    if verb in ("eval", "sweep"):
+        fn = draw(st.sampled_from(sorted(FN_CATALOG)))
+        argv = [verb, "--fn", fn, f"--a={draw(num)!r}", f"--c={draw(num)!r}",
+                f"--n={draw(st.integers(1, 6))}", f"--sign={draw(st.sampled_from(['plus', 'minus']))}"]
+        lo = draw(st.floats(0.01, 5.0))
+        bounds = [f"--x-min={lo!r}", f"--x-max={lo + draw(st.floats(0.0, 50.0))!r}",
+                  f"--points={draw(st.integers(1, 9))}"]
+        if verb == "sweep":
+            return argv[:3] + argv[4:] + bounds + ["--a-min=1.0", "--a-max=2.0", "--a-points=2"]
+        return argv + (bounds if draw(st.booleans()) else [f"--x={draw(num)!r}"])
+    if verb == "verify":
+        return ["verify", "--claim", draw(st.sampled_from(["constants", "ineq1", "thm2.1.onlyif"])),
+                "--format", draw(st.sampled_from(["json", "csv"])),
+                f"--seed={draw(st.sampled_from([1, 7, 42, 123456]))}"]
+    return [verb]
+
+
+@st.composite
+def _requests(draw):
+    """A well-formed request of any verb, or one a single change makes malformed."""
+    argv = _well_formed(draw(st.sampled_from(["eval", "solve", "verify", "sweep", "constants",
+                                              "list-claims"])), draw)
+    change = draw(st.sampled_from(["none", "unknown option", "stray positional", "drop one",
+                                   "bad float", "abbreviation", "-h", "option first",
+                                   "unknown verb", "empty"]))
+    where = draw(st.integers(1, len(argv)))
+    if change == "unknown option":
+        argv.insert(where, draw(st.sampled_from(["--bogus", "--bogus=1", "-z"])))
+    elif change == "stray positional":
+        argv.insert(where, "stray")
+    elif change == "drop one" and len(argv) > 1:
+        del argv[where % (len(argv) - 1) + 1]  # an option or its value, not the verb
+    elif change == "bad float":
+        argv = [t.split("=")[0] + "=abc" if t.startswith(("--a=", "--x", "--c=")) else t
+                for t in argv]
+    elif change == "abbreviation":
+        argv = [t.replace("--points", "--poi").replace("--kind", "--ki").replace("--claim", "--cl")
+                for t in argv]
+    elif change == "-h":
+        argv.insert(where, "-h")
+    elif change == "option first":
+        argv.insert(0, draw(st.sampled_from(["--a=1", "--points=3", "--help"])))
+    elif change == "unknown verb":
+        argv[0] = "frobnicate"
+    elif change == "empty":
+        argv = []
+    return argv
+
+
 class TestArgparseBehavior:
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0
@@ -439,6 +507,46 @@ class TestArgparseBehavior:
 
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli.build_parser()
+        # one sub-parser per verb, built with the full parser
+        verbs = cli._verb_parsers()
+        assert cli._verb_parsers() is verbs
+        assert [(v, p.prog) for v, p in verbs.items()] == [(v, f"gammapower {v}") for v in cli._VERBS]
+
+    @given(argv=_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_verb_parser_matches_the_full_parser(self, tmp_path_factory, argv):
+        # exit code, stdout, stderr and any sweep CSV are those of the full
+        # parser's pass, which main takes with no verb parser to hand
+        from gammapower import cli
+
+        dest = tmp_path_factory.getbasetemp() / "equivalence.csv"
+        argv = argv + ["--out", str(dest)] if argv[:1] == ["sweep"] else argv
+
+        def result():
+            dest.unlink(missing_ok=True)
+            code, out, err = run_quiet(*argv)
+            return code, out, err, dest.read_text() if dest.exists() else None
+
+        once = result()
+        with mock.patch.object(cli, "_verb_parsers", dict):
+            assert result() == once
+
+    @pytest.mark.parametrize("argv, code, full_parses", [
+        (["solve", "--kind", "x3", "--a=1.5"], 0, 0),
+        (["eval", "--fn", "h2", "--a=1.5", "--x-min=1", "--x-max=2", "--points=3"], 0, 0),
+        (["verify", "--claim", "constants", "--format", "json", "--seed", "7"], 0, 0),
+        (["list-claims"], 0, 0),
+        (["solve", "--kind", "x3", "--a=1.5", "--bogus"], 2, 1),
+        (["eval", "--fn", "h2", "--x=1", "stray"], 2, 1),
+        (["--help"], 0, 1),
+    ])
+    def test_well_formed_requests_skip_the_full_parser(self, monkeypatch, argv, code, full_parses):
+        from gammapower import cli
+
+        parser, calls = cli._parser(), []
+        full = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda args: calls.append(args) or full(args))
+        assert (run_quiet(*argv)[0], len(calls)) == (code, full_parses)
 
     def test_reused_parser_matches_fresh_processes(self, monkeypatch):
         # different verbs, a usage error (exit 2) between successful calls, --help

@@ -1,7 +1,9 @@
-"""Every name a gammapower module exports resolves, so no export outlives its definition,
-and every name a submodule imports is used, so no import outlives its last use."""
+"""Every name a gammapower module exports resolves, so no export outlives its definition;
+every name a submodule imports is used, so no import outlives its last use; and every
+private module-level helper is referenced, so no helper outlives its last caller."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import pkgutil
@@ -40,3 +42,32 @@ def test_no_unused_import(name):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(module.__all__)) == []
+
+
+def _references(node: ast.AST) -> collections.Counter:
+    """Names read (x) and attributes taken (m.x) anywhere under node."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute))
+
+
+def test_no_dead_private_helper():
+    # a private function, class or constant is read somewhere in the package
+    # outside its own definition
+    trees = [ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(gammapower.__file__).parent.glob("*.py"))]
+    everywhere = sum(map(_references, trees), collections.Counter())
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _references(node)
+            dead += [n for n in names if n.startswith("_") and not n.startswith("__")
+                     and everywhere[n] == own[n]]
+    assert dead == []

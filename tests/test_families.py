@@ -332,6 +332,42 @@ class TestAuxiliaryValues:
         with pytest.raises(DomainError):
             log_g1_deriv(1.5, 1, 0.0)
 
+    @pytest.mark.parametrize("a", [0.25, 1.0, 1.5, 2.0, 7.0])
+    @pytest.mark.parametrize("n", [1, 6, 30, 170])
+    def test_float_zero_matches_mpmath_and_array_path(self, a, n):
+        # a float 0 takes delta_n(0) = -log Gamma(a); at a in {1, 2},
+        # (log g1)^(n)(0) = -psi^(n)(a)/(n+1) sums every order to n on both paths
+        with mpmath.workdps(40):
+            want = -mpmath.loggamma(a)
+            # log_gamma is math.lgamma, within 1e-14 (2e-15 at these a)
+            got = delta_n(a, n, 0.0)
+            assert abs(got - want) <= 2e-15 * abs(want)
+            assert math.copysign(1.0, got) == (-1.0 if want < 0 else 1.0)  # 0, not -0
+            assert delta_n(a, n, -0.0) == delta_n(a, n, np.array([0.0]))[0] == got
+            if a in (1.0, 2.0):
+                want = -mpmath.polygamma(n, a) / (n + 1)
+                assert abs(log_g1_deriv(a, n, 0.0) - want) <= 8e-16 * abs(want)
+                assert abs(log_g1_deriv(a, n, np.array([0.0]))[0] - want) <= 8e-16 * abs(want)
+
+    def test_float_zero_keeps_the_domain_errors(self):
+        with pytest.raises(DomainError, match="1 <= n <= 170, got 171"):
+            log_g1_deriv(1.0, 171, 0.0)
+        with pytest.raises(DomainError, match="less 0"):
+            log_g1_deriv(0.5, 3, 0.0)
+        with pytest.raises(DomainError):
+            delta_n(-1.0, 3, 0.0)
+
+    def test_overflow_keeps_the_sign(self):
+        # past the double range a float gives the sign an ndarray gives
+        for fn in (lambda x: log_g1_deriv(0.5, 170, x), lambda x: log_g1_deriv(0.5, 169, x)):
+            with pytest.raises(OverflowError) as point:
+                fn(2e-3)
+            with pytest.raises(OverflowError) as array:
+                fn(np.array([2e-3]))
+            assert str(point.value) == str(array.value)
+        assert str(point.value).endswith(": inf")  # (-1)^169 times a margin below 0
+        assert _margin_orders(0.5, 2e-3, 170, "m")[-2:] == [-math.inf, -math.inf]
+
     def test_x_logderiv_g3_reduces_to_h2(self):
         assert x_logderiv_g3(2.0, 0.0, 5.0) == pytest.approx(h2(2.0, 5.0), rel=1e-13)
 
