@@ -10,8 +10,8 @@ Every check reduces to arrays of margins (>= 0 where the relation holds) at
 sample locations, and one core, `_check`, folds them into a report and its
 verdict; it alone computes them with numpy's floating-point errors off.  The
 public checks are certify_monotone, _lcm, _logconvex, _inequality and
-_range, and the `segments` and `expect_violation` combinators.  A plan owns
-its sorted points and its pairs, each once with x <= y, and their abscissae.
+_range, and the `segments` and `expect_violation` combinators.  Samples are
+built once per process per definition, so a one-shot process gains nothing.
 The module also houses the parameter-region taxonomy D1..D11 and the
 catalog of named claims driven by the command line (`verify --claim ...`).
 """
@@ -109,7 +109,7 @@ class SamplePlan:
     Positive intervals are sampled on a log grid, intervals reaching into
     negative x linearly.  `margin` is the exclusion radius around x = 0 and
     around known critical points where derivatives legitimately vanish.
-    Each plan builds its points and its pair table once, on first use.
+    Samples are built once per process per (interval, grid_points, random_points, seed).
     """
 
     interval: tuple[float, float] = (1e-2, 50.0)
@@ -131,38 +131,17 @@ class SamplePlan:
         if problems:
             raise ValueError("bad sample plan: " + "; ".join(problems))
 
-    @functools.cached_property
-    def _sorted_points(self) -> np.ndarray:
-        """The grid and random points, sorted; built once per plan, read-only."""
-        lo, hi = self.interval
-        rng = np.random.default_rng(self.seed)
-        if lo > 0.0:
-            grid = np.geomspace(lo, hi, self.grid_points)
-            rand = np.exp(rng.uniform(math.log(lo), math.log(hi), self.random_points))
-        else:
-            grid = np.linspace(lo, hi, self.grid_points)
-            rand = rng.uniform(lo, hi, self.random_points)
-        return _read_only(np.sort(np.concatenate([grid, rand])))
+    def _samples(self, kind: str) -> tuple[np.ndarray, ...]:
+        return _build_samples(kind, *self.interval, self.grid_points, self.random_points,
+                              self.seed, repr(self.interval))
 
     def points(self, excluded: Sequence[float] = ()) -> np.ndarray:
         """Sorted sample points, margin-excluded around `excluded` centers."""
-        pts = self._sorted_points
+        pts = self._samples("points")[0]
         keep = np.abs(pts) > self.margin
         for center in excluded:
             keep &= np.abs(pts - center) > self.margin
         return pts[keep]
-
-    @functools.cached_property
-    def _pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sorted pairs, their distinct abscissae t, and the (2, N) index of x, y in t."""
-        lo, hi = max(self.interval[0], 1e-12), self.interval[1]
-        axis = np.geomspace(lo, hi, math.isqrt(self.grid_points - 1) + 1)
-        rng = np.random.default_rng(self.seed)
-        raw = np.exp(rng.uniform(math.log(lo), math.log(hi), (self.random_points, 2)))
-        pairs = np.concatenate([axis[np.stack(np.triu_indices(axis.size), axis=1)],
-                                np.sort(raw, axis=1)])
-        t, at = np.unique(pairs.T, return_inverse=True)
-        return _read_only(pairs), _read_only(t), _read_only(at.reshape(2, -1))
 
     def pairs(self) -> np.ndarray:
         """(N, 2) array: each grid pair x <= y once (diagonal included), then random ones.
@@ -171,7 +150,7 @@ class SamplePlan:
         there are n (n + 1) / 2 grid pairs; each random pair is sorted to
         x <= y.  The array is read-only: every call returns the same one.
         """
-        return self._pair_table[0]
+        return self._samples("pairs")[0]
 
     def to_dict(self) -> dict:
         return {"interval": list(self.interval), "grid_points": self.grid_points,
@@ -179,9 +158,32 @@ class SamplePlan:
                 "margin": self.margin}
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+@functools.lru_cache(maxsize=32)  # the whole catalog at one seed uses 20 sample definitions
+def _build_samples(kind: str, lo: float, hi: float, grid_points: int, random_points: int,
+                   seed: int, _spelling: str) -> tuple[np.ndarray, ...]:
+    """Read-only (sorted points,) for kind "points"; for "pairs", the sorted pairs,
+    their distinct abscissae t and the (2, N) index of x, y in t.  _spelling is
+    repr(interval), in the key because == takes -0.0 for 0.0 and the samples do not."""
+    rng = np.random.default_rng(seed)
+    if kind == "points":
+        if lo > 0.0:
+            grid = np.geomspace(lo, hi, grid_points)
+            rand = np.exp(rng.uniform(math.log(lo), math.log(hi), random_points))
+        else:
+            grid = np.linspace(lo, hi, grid_points)
+            rand = rng.uniform(lo, hi, random_points)
+        built = (np.sort(np.concatenate([grid, rand])),)
+    else:
+        lo = max(lo, 1e-12)
+        axis = np.geomspace(lo, hi, math.isqrt(grid_points - 1) + 1)
+        raw = np.exp(rng.uniform(math.log(lo), math.log(hi), (random_points, 2)))
+        pairs = np.concatenate([axis[np.stack(np.triu_indices(axis.size), axis=1)],
+                                np.sort(raw, axis=1)])
+        t, at = np.unique(pairs.T, return_inverse=True)
+        built = (pairs, t, at.reshape(2, -1))
+    for a in built:
+        a.flags.writeable = False
+    return built
 
 
 DEFAULT_PLAN = SamplePlan()
@@ -418,7 +420,7 @@ def _chains(plan: SamplePlan, chains: Sequence[tuple[Sequence[str], float, float
     tol; the diagonal pairs are checked for equality, which every chain is at
     x = y, and their witnesses follow the others.
     """
-    p, t, at = plan._pair_table
+    p, t, at = plan._samples("pairs")
     apart, diag = p[:, 1] - p[:, 0] > plan.tol, p[:, 0] == p[:, 1]
     out: list[Block] = []
     for names, a, c in chains:
@@ -642,13 +644,10 @@ def run_claims(which: str = "all", plan: SamplePlan = DEFAULT_PLAN, a: float | N
         if refused:
             raise ValueError(f"claim {which!r} takes no {'/'.join(refused)} override")
         rows = rows[:1]
-    # one plan per interval, made in this call: the rows share its samples
-    plans: dict[tuple[float, float], SamplePlan] = {}
     reports = []
     for _, template, check, defaults in rows:
         params = {**defaults, **overrides}
         interval = params.pop("interval", (1e-2, 50.0))
-        if interval not in plans:
-            plans[interval] = replace(plan, interval=interval)
-        reports.append(check(plan=plans[interval], claim_id=template.format(**params), **params))
+        reports.append(check(plan=replace(plan, interval=interval),
+                             claim_id=template.format(**params), **params))
     return sorted(reports, key=lambda r: r.claim_id)

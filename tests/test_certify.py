@@ -68,7 +68,7 @@ class TestSamplePlan:
             assert np.array_equal(pairs, replace(plan).pairs())
             assert (pairs[:, 0] <= pairs[:, 1]).all()
             # the distinct abscissae t and the index of x and y in t rebuild the pairs
-            _, t, at = plan._pair_table
+            _, t, at = plan._samples("pairs")
             assert np.array_equal(t, np.unique(pairs)) and np.array_equal(t[at], pairs.T)
 
     def test_points_match_masking_before_sorting(self):
@@ -96,6 +96,32 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             plan.pairs()[0, 0] = 0.0
         assert np.array_equal(plan.pairs(), SMALL.pairs())
+
+    def test_samples_are_shared_by_what_defines_them(self):
+        # the memo's key is interval, grid_points, random_points and seed;
+        # -0.0 == 0.0, but a linear grid ending at -0.0 ends at -0.0
+        memo = certify._build_samples
+        for order in ((-0.0, 0.0), (0.0, -0.0)):
+            memo.cache_clear()
+            for end in order:
+                last = SamplePlan(interval=(-1.0, end), margin=-1.0).points()[-1]
+                assert last == 0.0 and math.copysign(1.0, last) == math.copysign(1.0, end)
+        # plans that differ only in tol or margin share one entry
+        memo.cache_clear()
+        built = SMALL._samples("points")
+        for plan in (replace(SMALL, tol=1e-3), replace(SMALL, margin=0.5), SMALL):
+            assert plan._samples("points") is built
+        assert (memo.cache_info().currsize, memo.cache_info().misses) == (1, 1)
+        # an interval given as a list samples as its tuple does
+        assert np.array_equal(replace(SMALL, interval=list(SMALL.interval)).points(), built[0])
+        # past its bound the memo keeps its most recent definitions, all read-only
+        bound = memo.cache_info().maxsize
+        for seed in range(bound + 5):
+            SamplePlan(grid_points=4, random_points=2, seed=seed).pairs()
+        assert memo.cache_info().currsize == bound
+        assert memo.cache_info().misses == 2 + bound + 5
+        assert not any(a.flags.writeable for kind in ("points", "pairs")
+                       for a in SMALL._samples(kind))
 
     def test_bad_plan_rejected(self):
         for field, value in (
@@ -277,11 +303,15 @@ class TestInequalities:
 
     def test_pairs_are_sorted_and_indexed_once_per_plan(self, monkeypatch):
         # the three cmp rows share one plan: its pairs are sorted to x <= y and
-        # their distinct abscissae taken once, not once per row
+        # their distinct abscissae taken once, not once per row, and not again
+        # by the next call
+        certify._build_samples.cache_clear()
         calls = collections.Counter()
         for name in ("sort", "unique"):
             monkeypatch.setattr(certify.np, name, lambda *args, _f=getattr(certify.np, name),
                                 _n=name, **kw: calls.update([_n]) or _f(*args, **kw))
+        assert len(run_claims("cmp", SMALL)) == 3
+        assert calls == {"sort": 1, "unique": 1}
         assert len(run_claims("cmp", SMALL)) == 3
         assert calls == {"sort": 1, "unique": 1}
 
@@ -371,16 +401,17 @@ class TestReportsAndCatalog:
         b = run_claims("constants", SMALL)
         assert [r.to_json() for r in a] == [r.to_json() for r in b]
 
-    def test_each_run_claims_call_builds_its_samples_once(self, monkeypatch):
-        # the six lemma.ranges rows share one interval, so one plan and one grid;
-        # the next call builds its own
+    def test_run_claims_builds_its_samples_once_per_process(self, monkeypatch):
+        # the six lemma.ranges rows share one interval, so one grid; the next
+        # call reads the same one
+        certify._build_samples.cache_clear()
         built = []
         geomspace = np.geomspace
         monkeypatch.setattr(certify.np, "geomspace", lambda *a: built.append(a) or geomspace(*a))
         first = run_claims("lemma.ranges", SMALL)
         assert len(first) == 6 and len(built) == 1
         second = run_claims("lemma.ranges", SMALL)
-        assert len(built) == 2
+        assert len(built) == 1
         assert [r.to_json() for r in first] == [r.to_json() for r in second]
 
     def test_run_claims_with_override(self):

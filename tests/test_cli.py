@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammapower
-from gammapower import critical
+from gammapower import certify, critical
 from gammapower.certify import claim_ids
 from gammapower.cli import FN_CATALOG, main
 from gammapower.specfun import EULER_GAMMA, digamma
@@ -348,6 +348,18 @@ class TestVerify:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_warm_samples_match_a_fresh_process(self, capsys):
+        # samples built once per process: runs that read them from a warm memo
+        # print the bytes of a process that builds every one
+        args = ["verify", "--claim", "all", "--format", "json", "--seed", "7"]
+        run(capsys, *args)
+        misses = certify._build_samples.cache_info().misses
+        warm = [run(capsys, *args) for _ in range(2)]
+        assert certify._build_samples.cache_info().misses == misses
+        proc = fresh("-m", "gammapower.cli", *args)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert warm == [(proc.returncode, proc.stdout, proc.stderr)] * 2
 
 
 class TestSweepAndConstants:
