@@ -236,8 +236,14 @@ def _run_eval(ns, out) -> int:
     return 0
 
 
+# json.dumps builds a new encoder on every call with non-default options; these
+# write the same text.  `verify` JSON is strict: a nan or inf raises.
+_SOLVE_JSON = json.JSONEncoder(sort_keys=True)
+_VERIFY_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _run_solve(ns, out) -> int:
-    out.write(json.dumps(_SOLVERS[ns.kind](ns.a), sort_keys=True) + "\n")
+    out.write(_SOLVE_JSON.encode(_SOLVERS[ns.kind](ns.a)) + "\n")
     return 0
 
 
@@ -250,7 +256,7 @@ def _run_verify(ns, out) -> int:
         with open(ns.out, "w") as fh:
             json.dump(dicts, fh, sort_keys=True, indent=2, allow_nan=False)
     if ns.format == "json":
-        out.write(json.dumps(dicts, sort_keys=True, allow_nan=False) + "\n")
+        out.write(_VERIFY_JSON.encode(dicts) + "\n")
     else:
         width = max(len(r.claim_id) for r in reports)
         out.write(f"{'claim':<{width}}  verdict       min_margin\n")

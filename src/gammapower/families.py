@@ -23,6 +23,8 @@ projections to closed form:
 
 h21, h31, h41 and h41' are the shifted-argument numerators whose sign
 changes locate the critical points solved in :mod:`gammapower.critical`.
+At a float these and h3 take psi, psi' and psi'' from one shifted pass of
+specfun (:func:`_psis`), bit for bit the per-order calls.
 
 All evaluations go through log space.  Derivative and series orders n run
 over 1..MAX_ORDER.  Every public function takes a float x, giving a float,
@@ -54,7 +56,7 @@ from enum import Enum
 from itertools import accumulate, repeat
 
 from .specfun import MAX_ORDER, DomainError, digamma, log_gamma, polygamma, EULER_GAMMA, np
-from .specfun import _UNIT_ROUNDOFF, _corrections, _edge
+from .specfun import _UNIT_ROUNDOFF, _corrections, _edge, _psi_orders
 
 __all__ = [
     "Sign",
@@ -182,6 +184,18 @@ def _split(x, inner, f_in, f_out):
     return v
 
 
+def _psis(t, top: int) -> tuple:
+    """(psi(t), psi'(t)) for top = 1, or (psi, psi', psi'') for top = 2.
+
+    A float takes one shifted pass of specfun._psi_orders, bit for bit the
+    per-order calls; an ndarray keeps those calls, highest order first.
+    """
+    if type(t) is float or not isinstance(t, np.ndarray):
+        return _psi_orders(t, top)
+    higher = [polygamma(n, t) for n in range(top, 0, -1)]
+    return (digamma(t), *reversed(higher))
+
+
 @_total
 def f_family(p: Params, x):
     """((Gamma(x+a))^(1/x) / x^c)^(+-1); x > 0 when c != 0 (real power of x).
@@ -295,7 +309,9 @@ def h3(a: float, x):
     Satisfies (log g2)'' = (c - h3(x)) / x^2.
     """
     _require("h3", a, x, 0.0, a_lo=0.0)
-    return -x * polygamma(1, x + a) + 2.0 * digamma(x + a) - 2.0 * log_gamma(x + a) / x
+    t = x + a
+    psi, psi1 = _psis(t, 1)
+    return -x * psi1 + 2.0 * psi - 2.0 * log_gamma(t) / x
 
 
 @_total
@@ -313,7 +329,8 @@ def h21(a: float, t):
     """(t-a)^2 psi'(t) - (t-a) psi(t) + log Gamma(t); numerator of h2~'."""
     _require("h21", a, t, 0.0)
     u = t - a
-    return u * u * polygamma(1, t) - u * digamma(t) + log_gamma(t)
+    psi, psi1 = _psis(t, 1)
+    return u * u * psi1 - u * psi + log_gamma(t)
 
 
 @_total
@@ -321,12 +338,8 @@ def h31(a: float, t):
     """-(t-a)^3 psi''(t) + (t-a)^2 psi'(t) - 2(t-a) psi(t) + 2 log Gamma(t)."""
     _require("h31", a, t, 0.0)
     u = t - a
-    return (
-        -(u**3) * polygamma(2, t)
-        + u * u * polygamma(1, t)
-        - 2.0 * u * digamma(t)
-        + 2.0 * log_gamma(t)
-    )
+    psi, psi1, psi2 = _psis(t, 2)
+    return -(u**3) * psi2 + u * u * psi1 - 2.0 * u * psi + 2.0 * log_gamma(t)
 
 
 @_total
@@ -334,7 +347,8 @@ def h41(a: float, t):
     """t(t-a)^2 psi'(t) - (t^2-a^2) psi(t) + (t+a) log Gamma(t)."""
     _require("h41", a, t, 0.0)
     u = t - a
-    return t * u * u * polygamma(1, t) - (t * t - a * a) * digamma(t) + (t + a) * log_gamma(t)
+    psi, psi1 = _psis(t, 1)
+    return t * u * u * psi1 - (t * t - a * a) * psi + (t + a) * log_gamma(t)
 
 
 @_total
@@ -342,12 +356,8 @@ def h41_prime(a: float, t):
     """t(t-a)^2 psi''(t) + 2(t-a)^2 psi'(t) - (t-a) psi(t) + log Gamma(t)."""
     _require("h41_prime", a, t, 0.0)
     u = t - a
-    return (
-        t * u * u * polygamma(2, t)
-        + 2.0 * u * u * polygamma(1, t)
-        - u * digamma(t)
-        + log_gamma(t)
-    )
+    psi, psi1, psi2 = _psis(t, 2)
+    return t * u * u * psi2 + 2.0 * u * u * psi1 - u * psi + log_gamma(t)
 
 
 def _tail_rows(a: float, x):

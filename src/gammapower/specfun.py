@@ -8,7 +8,11 @@ one Euler-Maclaurin sum of the Hurwitz series
 It adds terms directly until y = x + m reaches an edge that grows with s
 (or the terms fall below rounding), then adds the integral from y, half the
 term at y and the Bernoulli corrections at y.  psi is the same sum at s = 1,
-with log y in place of the divergent integral.
+with log y in place of the divergent integral.  At a float t >= 1e-4,
+psi, psi' and psi'' of one t come from one shifted pass over t, t+1, ...
+(the private _psi_orders that families' h-functions use): each order adds
+its terms below its own edge and its own corrections at its own y, so the
+three values are bit for bit those of the separate calls.
 
 Array in, array out: each public function also takes an ndarray of x and
 returns an ndarray of its shape.  The array path adds the direct terms of
@@ -161,6 +165,44 @@ def _euler_maclaurin(s: int, x: float) -> tuple[float, float]:
     return total + x**-s * (0.5 + corr / x), x
 
 
+_EDGE1, _EDGE2, _EDGE3 = _edge(1), _edge(2), _edge(3)
+
+
+def _psi_orders(t: float, top: int) -> tuple[float, ...]:
+    """(psi(t), psi'(t)) for top = 1, or (psi, psi', psi'') for top = 2, in one pass.
+
+    Bit for bit digamma(t), polygamma(1, t) and polygamma(2, t): y runs t,
+    t+1, ... as in :func:`_euler_maclaurin`, each order s = 1, 2, 3 adding
+    its terms only below its own edge and then its own corrections at its
+    own y.  From t = 1e-4 on no order's early stop fires and no term
+    overflows, so the pass drops those tests; below that, or for anything
+    but a finite float, it calls digamma and polygamma, in order.
+    """
+    if not (type(t) is float and 1e-4 <= t < math.inf):
+        return (digamma(t), *(polygamma(n, t) for n in range(1, top + 1)))
+    y, s1, s2, s3 = t, 0.0, 0.0, 0.0
+    while y < _EDGE1:
+        s1 += y**-1
+        s2 += y**-2
+        if top == 2:
+            s3 += y**-3
+        y += 1.0
+    y1 = y
+    if y < _EDGE2:
+        s2 += y**-2
+        if top == 2:
+            s3 += y**-3
+        y += 1.0
+    psi = math.log(y1) - (s1 + y1**-1 * _remainder(1, y1))
+    psi1 = s2 + y**-2 * _remainder(2, y) + y**-1  # polygamma's 1! (total + y^-1 / 1)
+    if top == 1:
+        return psi, psi1
+    if y < _EDGE3:
+        s3 += y**-3
+        y += 1.0
+    return psi, psi1, -2.0 * (s3 + y**-3 * _remainder(3, y) + y**-2 / 2)
+
+
 def _euler_maclaurin_array(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_euler_maclaurin` at every entry of an array x in (0, inf).
 
@@ -238,21 +280,39 @@ def check_polygamma_bounds(n: int, x: float) -> bool:
 
     (n-1)!/x^n + n!/(2x^{n+1}) <= (-1)^{n+1} psi^(n)(x)
                                <= (n-1)!/x^n + n!/x^{n+1}
+
+    The bounds take reciprocal powers x^(-n), which underflow to 0 at large
+    x where x^n would overflow; where x^(-n-1) overflows, so does psi^(n).
     """
     value = polygamma(n, x)
     if n % 2 == 0:
         value = -value
-    base = math.factorial(n - 1) / x**n
-    step = math.factorial(n) / x ** (n + 1)
+    base = math.factorial(n - 1) * x**-n
+    step = math.factorial(n) * x ** -(n + 1)
     tol = 1e-15 * max(1.0, abs(value))
     return base + 0.5 * step <= value + tol and value <= base + step + tol
+
+
+# theta = 1 - 6 sum_{k>=3} B_2k (2k+1) x^(4-2k) from x = 12 on, highest k first.
+_THETA_SERIES = tuple(b * (2 * k + 1) for k, b in enumerate(_BERNOULLI, 1) if k >= 3)[::-1]
 
 
 def psi2_theta(x: float) -> float:
     """Solve psi''(x) = -1/x^2 - 1/x^3 - 1/(2x^4) + theta/(6x^6) for theta.
 
-    The returned theta lies in (0, 1) for every x > 0.
+    theta lies in (0, 1) for every x > 0; in doubles it rounds to 1.0 past
+    x ~ 1e8 and to 0.0 below x ~ 1e-162, so the returned value lies in
+    [0, 1].  From x = 12 on it is the asymptotic series above, truncated at
+    B_20; below, 6x^2 (x^4 psi''(x) + x^2 + x + 1/2) with x^4 psi''(x) =
+    x^4 psi''(x+1) - 2x, so that no term overflows.  Against mpmath it is
+    within 3e-11, the error peaking just below 12, where that sum cancels,
+    and within 3e-14 from 12 on.
     """
     _require_positive(x)
-    psi2 = polygamma(2, x)
-    return 6.0 * x**6 * (psi2 + 1.0 / x**2 + 1.0 / x**3 + 0.5 / x**4)
+    if x >= 12.0:
+        inv2, v = 1.0 / (x * x), 0.0
+        for c in _THETA_SERIES:
+            v = v * inv2 + c
+        return 1.0 - 6.0 * v * inv2
+    x4_psi2 = x**4 * polygamma(2, x + 1.0) - 2.0 * x
+    return 6.0 * x * x * (x4_psi2 + x * x + x + 0.5)

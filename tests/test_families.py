@@ -514,6 +514,27 @@ def test_delta_path_calls_no_polygamma(monkeypatch):
     assert calls == []
 
 
+def test_h_functions_take_one_psi_pass_on_a_float(monkeypatch):
+    # from t = 1e-4 on, a float h3, h21, h31, h41 or h41' reads psi, psi' and
+    # psi'' from one specfun pass; an ndarray keeps the per-order calls,
+    # highest order first
+    calls = []
+    monkeypatch.setattr(families, "digamma", lambda t: calls.append(0) or digamma(t))
+    monkeypatch.setattr(families, "polygamma", lambda n, t: calls.append(n) or polygamma(n, t))
+    for a in (-3.0, 0.5, 1.5, 2.0):
+        for t in (1e-4, 0.37, 2.5, 8.0, 1e3, 1e100):
+            for fn in (h21, h31, h41, h41_prime):
+                fn(a, t)
+            h3(1e-4, t)  # at x + a = t + 1e-4
+    assert calls == []
+    ts = np.array([0.5, 3.0])
+    for fn, orders in ((h3, [1, 0]), (h21, [1, 0]), (h31, [2, 1, 0]), (h41, [1, 0]),
+                       (h41_prime, [2, 1, 0])):
+        fn(1.5, ts)
+        assert calls == orders
+        calls.clear()
+
+
 @pytest.mark.parametrize("a, n, x", [(1.0, 1, 1e-300), (2.0, 6, 1e-50), (2.0, 30, 1e-12),
                                      (1.0, 170, 0.01), (2.0, 170, -0.01)])
 def test_log_g1_deriv_where_delta_n_underflows(a, n, x):

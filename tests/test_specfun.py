@@ -19,6 +19,7 @@ from gammapower.specfun import (
     polygamma,
     psi2_theta,
 )
+from gammapower.specfun import _edge, _psi_orders
 
 import oracles
 
@@ -123,6 +124,29 @@ class TestInvariants:
         for x in np.geomspace(0.05, 100.0, 200):
             theta = psi2_theta(float(x))
             assert 0.0 < theta < 1.0
+
+    def test_psi2_theta_matches_mpmath(self):
+        # theta = 6x^6 (psi''(x) + 1/x^2 + 1/x^3 + 1/(2x^4)); mpmath needs about
+        # 6 log10(x) extra digits for that cancellation
+        def want(x):
+            with mpmath.workdps(60 + 7 * max(0, math.ceil(math.log10(x)))):
+                x = mpmath.mpf(x)
+                return 6 * x**6 * (mpmath.psi(2, x) + 1 / x**2 + 1 / x**3 + 1 / (2 * x**4))
+
+        below_12 = math.nextafter(12.0, 0.0)
+        for x in [*np.geomspace(1e-3, 1e12, 400).tolist(), below_12, 12.0, 100.0, 319.0, 595.0]:
+            theta, w = psi2_theta(x), want(x)
+            assert 0.0 <= theta <= 1.0
+            assert float(abs((theta - w) / w)) <= (3e-11 if x < 12.0 else 1e-13), x
+        assert psi2_theta(1e-60) == pytest.approx(3e-120, rel=1e-15)
+        assert psi2_theta(1e-110) == pytest.approx(3e-220, rel=1e-15)  # psi''(1e-110) overflows
+        assert psi2_theta(5e-324) == 0.0
+        assert psi2_theta(1e10) == psi2_theta(1e60) == psi2_theta(1.7976931348623157e308) == 1.0
+
+    @pytest.mark.parametrize("n, x", [(5, 1e70), (170, 1e3)])
+    def test_polygamma_bounds_where_x_power_overflows(self, n, x):
+        # x^n leaves the double range; psi^(n)(x) and both bounds underflow to 0
+        assert check_polygamma_bounds(n, x)
 
 
 class TestDomainAndConfig:
@@ -253,3 +277,41 @@ class TestArrayPath:
             fn(x)
         assert str(array.value) == str(point.value)
         assert str(point.value).endswith(f"({x}) exceeds the double range")
+
+
+def _outcome(fn, *args):
+    """fn(*args) with each float as its hex digits, or the type and text of what it raised."""
+    try:
+        return tuple(v.hex() for v in fn(*args))
+    except (DomainError, OverflowError) as e:
+        return type(e), str(e)
+
+
+def _check_psi_orders(x):
+    for top in (1, 2):
+        got = _outcome(_psi_orders, x, top)
+        want = _outcome(lambda t: [digamma(t), *(polygamma(n, t) for n in range(1, top + 1))], x)
+        assert got == want, (x, top)
+
+
+_EDGES = [_edge(s) for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("x", [
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),  # the shared pass starts at 1e-4
+    1e-8, 1e-17,  # where the early stop of psi' (and, at 1e-17, psi) fires
+    # where it fires and changes the last bit of psi'', psi' and psi
+    2.3009346370054643e-05, 4.31770070580783e-08, 9.754560322487888e-17,
+    *_EDGES, *(math.nextafter(e, 0.0) for e in _EDGES),
+    *(e - 6.0 for e in _EDGES), *(math.nextafter(e - 6.0, 0.0) for e in _EDGES),
+    5e-324, 1e-300, 1e300, math.nan, math.inf,
+])
+def test_psi_orders_at_the_switch_and_edges(x):
+    # one shifted pass for psi, psi' and psi'' is bit for bit the per-order calls
+    _check_psi_orders(x)
+
+
+@given(st.floats(min_value=5e-324, max_value=1e300))
+@settings(max_examples=500, deadline=None)
+def test_psi_orders_match_per_order_calls_hypothesis(x):
+    _check_psi_orders(x)
