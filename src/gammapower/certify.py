@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-from .specfun import EULER_GAMMA, MAX_ORDER, PI, ZETA3, log_gamma, np
+from .specfun import EULER_GAMMA, MAX_ORDER, PI, ZETA3, np
 from . import families as fam
 from . import critical
 
@@ -370,10 +370,6 @@ def certify_logconvex(a: float, c: float, plan: SamplePlan, sense: str,
 
 # --- corollary inequalities and comparisons ---------------------------------
 
-def _lg_over(a: float, x: np.ndarray) -> np.ndarray:
-    return log_gamma(x + a) / x
-
-
 # Name -> f(a, c, x, y, lg, h2): the log-domain quantities at pairs 0 < x < y
 # that the corollary inequalities and the comparison remarks order, where lg
 # and h2 hold log Gamma(t+a)/t and h2(a, t) in row 0 at x and row 1 at y.  r is
@@ -382,7 +378,7 @@ def _lg_over(a: float, x: np.ndarray) -> np.ndarray:
 # A = (x+y)/2 and G = sqrt(xy).  Every quantity vanishes at x = y.
 _QUANTITIES: dict[str, Callable[..., np.ndarray]] = {
     "r": lambda a, c, x, y, lg, h2: lg[0] - lg[1],
-    "m": lambda a, c, x, y, lg, h2: _lg_over(a, 0.5 * (x + y)) - 0.5 * (lg[0] + lg[1]),
+    "m": lambda a, c, x, y, lg, h2: fam._lg_over(a, 0.5 * (x + y)) - 0.5 * (lg[0] + lg[1]),
     "0": lambda a, c, x, y, lg, h2: 0.0 * x,
     "c log(x/y)": lambda a, c, x, y, lg, h2: c * np.log(x / y),
     "c log(A/G)": lambda a, c, x, y, lg, h2: c * np.log(0.5 * (x + y) / np.sqrt(x * y)),
@@ -403,7 +399,7 @@ def _chain(names: Sequence[str], a: float, c: float, t: np.ndarray,
     log Gamma(t+a)/t is evaluated once at the distinct abscissae t, and
     h2(a, t) once when the chain has a closed-form bound (named h2... or g3...).
     """
-    lg = _lg_over(a, t)[at]
+    lg = fam._lg_over(a, t)[at]
     h2 = fam.h2(a, t)[at] if any(q.startswith(("h2", "g3")) for q in names) else None
     x, y = t[at]
     return [_QUANTITIES[q](a, c, x, y, lg, h2) for q in names]

@@ -41,9 +41,9 @@ near x = 0 it takes the tail form delta_n = -log Gamma(a) + sum_{k>n} S_k.
 That tail is summed per ratio r = x/(x+a+j), as r^(n+1) h_n(r) with
 h_n(r) = sum_{m>=0} r^m/(n+1+m) = B(r; n+1, 0)/r^(n+1) (DLMF 8.17).
 
-Known defect: f, g, log_g2 and log_g3 take log Gamma(x+a)/x directly, which
-cancels near x = 0 at a in {1, 2}; only log_g1 takes its power series there.
-At a = 1, x = 1e-8, f and g3 are 2.6e-8 relative off mpmath, g1 1.3e-17.
+f, g, log_g1..log_g3 and h1..h4 are built on L(x) = log Gamma(x+a)/x, which
+cancels near x = 0 at a in {1, 2} (log Gamma(a) = 0): in one window there,
+|x| <= 0.25, each takes its value from L's power series alone (DLMF 5.7.3).
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ __all__ = [
     "x_logderiv_g3",
 ]
 
-# log_g1 at a in {1, 2} takes its power series where |x| <= _SERIES_RADIUS:
-# the direct quotient log Gamma(x+a)/x cancels there since log Gamma(a) = 0.
-# Against mpmath (40 digits) the series of _SERIES_TERMS terms is within 2e-16
-# on |x| <= 0.25, and the direct form within 1.2e-14 on 0.2 <= |x| <= 0.8.
+# The window of :func:`_near_zero`, a in {1, 2} and |x| <= _SERIES_RADIUS, where every
+# L-based function takes L's series to _SERIES_TERMS terms.  Against mpmath these are
+# within 4e-16 relative there (h3 the worst), and the direct forms within 1.9e-13 (h3)
+# and 1.3e-14 (the rest) on 0.25 < |x| <= 0.8.
 _SERIES_RADIUS = 0.25
 _SERIES_TERMS = 30
 
@@ -169,21 +169,6 @@ def _log(x):
     return math.log(x) if type(x) is float or not isinstance(x, np.ndarray) else np.log(x)
 
 
-def _split(x, inner, f_in, f_out):
-    """f_in(x) where `inner` holds and f_out(x) elsewhere, as a float or an ndarray.
-
-    `inner` is a bool for a float x and a bool array for an ndarray x; each
-    function sees only its own entries, and one with none is not called.
-    """
-    if type(x) is float or not isinstance(x, np.ndarray):
-        return float(f_in(x) if inner else f_out(x))
-    v = np.empty(x.shape)
-    for rows, f in ((inner, f_in), (~inner, f_out)):
-        if rows.any():
-            v[rows] = f(x[rows])
-    return v
-
-
 def _psis(t, top: int) -> tuple:
     """(psi(t), psi'(t)) for top = 1, or (psi, psi', psi'') for top = 2.
 
@@ -196,47 +181,64 @@ def _psis(t, top: int) -> tuple:
     return (digamma(t), *reversed(higher))
 
 
+@functools.cache
+def _series(a: float, k: int) -> tuple[float, ...]:
+    """Coefficients of L^(k) = sum_{j>=k} j!/(j-k)! b_j x^(j-k) at a in {1, 2}, highest first:
+    L = sum_j b_j x^j, b_0 = psi(a), b_j = psi^(j)(a)/(j+1)! (DLMF 5.7.3; log Gamma(a) = 0)."""
+    b = [-(EULER_GAMMA - (a - 1.0))] + [polygamma(j, a) / math.factorial(j + 1)
+                                        for j in range(1, _SERIES_TERMS)]
+    return tuple(math.perm(j, k) * b[j] for j in range(_SERIES_TERMS - 1, k - 1, -1))
+
+
+_FROM_SERIES = {
+    "L": (0, lambda x, a, d: d),
+    "h1": (1, lambda x, a, d: 0.0 - x * (x * d)),  # 0.0 - keeps h1(0) = 0 unsigned
+    "h2": (1, lambda x, a, d: x * d),
+    "h3": (2, lambda x, a, d: -x * (x * d)),
+    "h4": (1, lambda x, a, d: (x + a) * d),
+}
+
+
+def _near_zero(part: str, fn, a: float, x):
+    """Reader `part` at a in {1, 2} (the caller checked a and x) from L's series, or None.
+
+    :data:`_FROM_SERIES` gives its k and value from x, a and d = L^(k)(x) in the window
+    |x| <= _SERIES_RADIUS; None means no x lies there.  Other ndarray entries take fn(a, .)."""
+    k, value = _FROM_SERIES[part]
+    scalar = type(x) is float or not isinstance(x, np.ndarray)
+    rows = abs(x) <= _SERIES_RADIUS
+    if not (rows if scalar else rows.any()):
+        return None
+    t, d = x if scalar else x[rows], 0.0
+    for c in _series(a, k):
+        d = d * t + c
+    if scalar:
+        return value(t, a, d)
+    v = np.empty(x.shape)
+    v[rows], v[~rows] = value(t, a, d), fn(a, x[~rows])
+    return v
+
+
+def _lg_over(a: float, x):
+    """L(x) = log Gamma(x+a)/x for a float or an ndarray; the caller checks the domain."""
+    v = _near_zero("L", _lg_over, a, x) if a in (1.0, 2.0) else None
+    return log_gamma(x + a) / x if v is None else v
+
+
 @_total
 def f_family(p: Params, x):
-    """((Gamma(x+a))^(1/x) / x^c)^(+-1); x > 0 when c != 0 (real power of x).
-
-    Known defect: inexact near x = 0 at a in {1, 2}; see the module docstring.
-    """
+    """((Gamma(x+a))^(1/x) / x^c)^(+-1); x > 0 when c != 0 (real power of x)."""
     _require("f", p.a, x, -p.a if p.c == 0.0 else max(-p.a, 0.0), zero=False)
-    v = log_gamma(x + p.a) / x - p.c * _log(x) if p.c != 0.0 else log_gamma(x + p.a) / x
+    v = _lg_over(p.a, x) - p.c * _log(x) if p.c != 0.0 else _lg_over(p.a, x)
     return _exp(-v if p.sign is Sign.MINUS else v)
 
 
 @_total
 def g_family(p: Params, x):
-    """((Gamma(x+a))^(1/x) / (x+a)^c)^(+-1).
-
-    Known defect: inexact near x = 0 at a in {1, 2}; see the module docstring.
-    """
+    """((Gamma(x+a))^(1/x) / (x+a)^c)^(+-1)."""
     _require("g", p.a, x, -p.a, zero=False)
-    v = log_gamma(x + p.a) / x - p.c * _log(x + p.a)
+    v = _lg_over(p.a, x) - p.c * _log(x + p.a)
     return _exp(-v if p.sign is Sign.MINUS else v)
-
-
-@functools.cache
-def _log_g1_series(a: float) -> tuple[float, ...]:
-    """Coefficients b_j of log g1 = sum_j b_j x^j at a in {1, 2}, highest j first.
-
-    b_0 = -psi(a) and b_j = -(-1)^(j+1) zeta(j+1, a)/(j+1) = -psi^(j)(a)/(j+1)!,
-    from log Gamma(x+a) = psi(a) x + sum_{k>=2} psi^(k-1)(a) x^k/k! and
-    log Gamma(a) = 0.
-    """
-    b = [EULER_GAMMA - (a - 1.0)] + [-polygamma(j, a) / math.factorial(j + 1)
-                                     for j in range(1, _SERIES_TERMS)]
-    return tuple(reversed(b))
-
-
-def _log_g1_near_zero(a: float, x):
-    """log g1 from its power series around 0 at a in {1, 2}; x a float or an ndarray."""
-    v = 0.0
-    for b in _log_g1_series(a):
-        v = v * x + b
-    return v
 
 
 @_total
@@ -245,15 +247,10 @@ def log_g1(a: float, x):
 
     For a <= 0 the domain is (-a, inf); for a > 0 it is (-a, inf) minus 0,
     except that x = 0 is admitted for a in {1, 2} via the continuation
-    g1(0) = e^gamma (a = 1) or e^(gamma-1) (a = 2).  There, |x| <= 0.25
-    takes the power series of :func:`_log_g1_series`.
+    g1(0) = e^gamma (a = 1) or e^(gamma-1) (a = 2).
     """
-    special = a in (1.0, 2.0)
-    _require("log_g1", a, x, -a, zero=special)
-    if not special:
-        return -log_gamma(x + a) / x
-    return _split(x, abs(x) <= _SERIES_RADIUS, lambda t: _log_g1_near_zero(a, t),
-                  lambda t: -log_gamma(t + a) / t)
+    _require("log_g1", a, x, -a, zero=a in (1.0, 2.0))
+    return -_lg_over(a, x)
 
 
 @_total
@@ -264,9 +261,9 @@ def g1(a: float, x):
 
 @_total
 def log_g2(a: float, c: float, x):
-    """log g2(x) on (0, inf); known defect: inexact near 0 at a in {1, 2} (module docstring)."""
+    """log g2(x) on (0, inf)."""
     _require("g2", a, x, 0.0, a_lo=0.0)
-    return log_gamma(x + a) / x - c * _log(x)
+    return _lg_over(a, x) - c * _log(x)
 
 
 @_total
@@ -277,9 +274,9 @@ def g2(a: float, c: float, x):
 
 @_total
 def log_g3(a: float, c: float, x):
-    """log g3(x) on (0, inf); known defect: inexact near 0 at a in {1, 2} (module docstring)."""
+    """log g3(x) on (0, inf)."""
     _require("g3", a, x, 0.0, a_lo=0.0)
-    return log_gamma(x + a) / x - c * _log(x + a)
+    return _lg_over(a, x) - c * _log(x + a)
 
 
 @_total
@@ -292,14 +289,16 @@ def g3(a: float, c: float, x):
 def h1(a: float, x):
     """-x psi(x+a) + log Gamma(x+a); equals x^2 (log g1)'(x)."""
     _require("h1", a, x, -a)
-    return -x * digamma(x + a) + log_gamma(x + a)
+    v = _near_zero("h1", h1, a, x) if a in (1.0, 2.0) else None
+    return -x * digamma(x + a) + log_gamma(x + a) if v is None else v
 
 
 @_total
 def h2(a: float, x):
     """(x psi(x+a) - log Gamma(x+a)) / x; equals x (log g2)' + c."""
     _require("h2", a, x, 0.0, a_lo=0.0)
-    return digamma(x + a) - log_gamma(x + a) / x
+    v = _near_zero("h2", h2, a, x) if a in (1.0, 2.0) else None
+    return digamma(x + a) - log_gamma(x + a) / x if v is None else v
 
 
 @_total
@@ -309,6 +308,8 @@ def h3(a: float, x):
     Satisfies (log g2)'' = (c - h3(x)) / x^2.
     """
     _require("h3", a, x, 0.0, a_lo=0.0)
+    if a in (1.0, 2.0) and (v := _near_zero("h3", h3, a, x)) is not None:
+        return v
     t = x + a
     psi, psi1 = _psis(t, 1)
     return -x * psi1 + 2.0 * psi - 2.0 * log_gamma(t) / x
@@ -321,7 +322,8 @@ def h4(a: float, x):
     Satisfies (log g3)' = (h4(x) - c) / (x + a).
     """
     _require("h4", a, x, 0.0, a_lo=0.0)
-    return (x + a) * (x * digamma(x + a) - log_gamma(x + a)) / (x * x)
+    v = _near_zero("h4", h4, a, x) if a in (1.0, 2.0) else None
+    return (x + a) * (x * digamma(x + a) - log_gamma(x + a)) / (x * x) if v is None else v
 
 
 @_total

@@ -289,7 +289,7 @@ def check_polygamma_bounds(n: int, x: float) -> bool:
         value = -value
     base = math.factorial(n - 1) * x**-n
     step = math.factorial(n) * x ** -(n + 1)
-    tol = 1e-15 * max(1.0, abs(value))
+    tol = 1e-15 * abs(value)
     return base + 0.5 * step <= value + tol and value <= base + step + tol
 
 

@@ -13,7 +13,6 @@ from gammapower import certify
 from gammapower import critical
 from gammapower import families as fam
 from gammapower.critical import threshold_g3_increasing
-from gammapower.specfun import log_gamma
 from gammapower.certify import (
     Region,
     RegionError,
@@ -295,11 +294,11 @@ class TestInequalities:
         def recording(name, fn):
             return lambda *args: sizes[name].append(np.size(args[-1])) or fn(*args)
 
-        monkeypatch.setattr(certify, "log_gamma", recording("log_gamma", log_gamma))
+        monkeypatch.setattr(fam, "_lg_over", recording("_lg_over", fam._lg_over))
         monkeypatch.setattr(fam, "h2", recording("h2", fam.h2))
         reports = run_claims("ineq3")
         assert [r.verdict for r in reports] == [Verdict.CERTIFIED] * 2
-        assert sizes == {"log_gamma": [535, 535], "h2": [535, 535]}
+        assert sizes == {"_lg_over": [535, 535], "h2": [535, 535]}
 
     def test_pairs_are_sorted_and_indexed_once_per_plan(self, monkeypatch):
         # the three cmp rows share one plan: its pairs are sorted to x <= y and
@@ -316,9 +315,10 @@ class TestInequalities:
         assert calls == {"sort": 1, "unique": 1}
 
     def test_violation_witnesses_name_the_failed_link(self, monkeypatch):
-        # log Gamma -> -log Gamma flips the sign of r, which breaks links of the
-        # ineq3 chain at pairs x < y; the diagonal holds
-        monkeypatch.setattr(certify, "log_gamma", lambda t: -log_gamma(t))
+        # log Gamma(t+a)/t -> -log Gamma(t+a)/t flips the sign of r, which breaks
+        # links of the ineq3 chain at pairs x < y; the diagonal holds
+        lg_over = fam._lg_over
+        monkeypatch.setattr(fam, "_lg_over", lambda a, t: -lg_over(a, t))
         names, a = certify._INEQUALITIES["ineq3"][0], 3.0
         r = certify_inequality("ineq3", fam.Params(a=a), SMALL)
         assert r.verdict is Verdict.VIOLATED and len(r.witnesses) == 20
@@ -376,10 +376,10 @@ class TestReportsAndCatalog:
             assert r.verdict is Verdict.CERTIFIED, r.claim_id
 
     def test_comparisons_evaluation_error_inconclusive(self, monkeypatch):
-        def bad(x):
+        def bad(a, x):
             raise ValueError("nope")
 
-        monkeypatch.setattr(certify, "log_gamma", bad)
+        monkeypatch.setattr(fam, "_lg_over", bad)
         reports = run_claims("cmp", SMALL)
         assert len(reports) == 3
         for r in reports:

@@ -1,6 +1,7 @@
 """Every name a gammapower module exports resolves, so no export outlives its definition;
-every name a submodule imports is used, so no import outlives its last use; and every
-private module-level helper is referenced, so no helper outlives its last caller."""
+every name a submodule imports is used, so no import outlives its last use; every
+private module-level helper is referenced, so no helper outlives its last caller; and
+only families divides a log_gamma call, so log Gamma(x+a)/x has one owner."""
 
 import ast
 import collections
@@ -71,3 +72,22 @@ def test_no_dead_private_helper():
             dead += [n for n in names if n.startswith("_") and not n.startswith("__")
                      and everywhere[n] == own[n]]
     assert dead == []
+
+
+def _divides_log_gamma(node: ast.AST) -> bool:
+    """node is a / b whose a is a log_gamma(...) call, negated or not."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    left = node.left.operand if isinstance(node.left, ast.UnaryOp) else node.left
+    return isinstance(left, ast.Call) and "log_gamma" in (
+        getattr(left.func, "id", None), getattr(left.func, "attr", None))
+
+
+def test_log_gamma_quotients_have_one_owner():
+    # L(x) = log Gamma(x+a)/x cancels near 0 at a in {1, 2}, where families
+    # alone takes its series: no other module divides a log_gamma call
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(gammapower.__file__).parent.glob("*.py"))
+             if path.stem != "families"
+             for node in ast.walk(ast.parse(path.read_text())) if _divides_log_gamma(node)]
+    assert found == []

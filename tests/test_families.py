@@ -118,16 +118,53 @@ class TestDomainErrors:
             fn()
 
 
+def _mp_L(a, x):
+    return mpmath.loggamma(x + a) / x
+
+
+# Each function built on L = log Gamma(x+a)/x as name -> (its value at (a, x),
+# mpmath's, whether its domain stops at x = 0).  The c of log_g2, log_g3 and g
+# keeps their two terms from cancelling on 0 < x <= 0.8 at a in {1, 2}.
+_L_BASED = {
+    "log_g1": (log_g1, lambda a, x: -_mp_L(a, x), False),
+    "h1": (h1, lambda a, x: -x * mpmath.digamma(x + a) + mpmath.loggamma(x + a), False),
+    "h2": (h2, lambda a, x: mpmath.digamma(x + a) - _mp_L(a, x), True),
+    "h3": (h3, lambda a, x: (-x * mpmath.psi(1, x + a) + 2 * mpmath.digamma(x + a)
+                             - 2 * _mp_L(a, x)), True),
+    "h4": (h4, lambda a, x: (x + a) * (mpmath.digamma(x + a) - _mp_L(a, x)) / x, True),
+    "log_g2": (lambda a, x: log_g2(a, a - 1.5, x),
+               lambda a, x: _mp_L(a, x) - (a - 1.5) * mpmath.log(x), True),
+    "log_g3": (lambda a, x: log_g3(a, 1.5 - a, x),
+               lambda a, x: _mp_L(a, x) - (1.5 - a) * mpmath.log(x + a), True),
+    "f": (lambda a, x: f_family(Params(a), x), lambda a, x: mpmath.exp(_mp_L(a, x)), False),
+    "g": (lambda a, x: g_family(Params(a, -0.8, Sign.MINUS), x),
+          lambda a, x: mpmath.exp(-_mp_L(a, x) - 0.8 * mpmath.log(x + a)), False),
+}
+
+
 @pytest.mark.parametrize("a", [1.0, 2.0])
-@pytest.mark.parametrize("x", [s * m for m in (1e-14, 1e-9, 3e-6, 9.9e-5, 2e-4, 1e-3, 1e-2)
-                               for s in (1, -1)])
+@pytest.mark.parametrize("x", [s * m for m in (1e-14, 1e-9, 3e-6, 9.9e-5, 2e-4, 1e-3, 1e-2,
+                                               0.1, 0.25, 0.3, 0.5, 0.8) for s in (1, -1)])
 def test_log_g1_taylor_window_matches_mpmath(a, x):
-    # near x = 0 at a in {1, 2} log g1 is its power series around the removable
-    # point; the direct quotient was up to ~1e-11 off just past |x| = 1e-4
-    with mpmath.workdps(40):
-        want = -mpmath.loggamma(mpmath.mpf(x) + a) / mpmath.mpf(x)
-        tol = 1e-15 if abs(x) < 1e-4 else 1e-14
-        assert float(abs((log_g1(a, x) - want) / want)) <= tol
+    # near x = 0 at a in {1, 2} every L-based function, log_g1 among them, takes
+    # L's power series: the direct forms cancel there (h3 was 9.4e20 relative
+    # off at x = 1e-12).  Past |x| = 0.25 each keeps its direct form.
+    for name, (fn, exact, positive) in _L_BASED.items():
+        if positive and x < 0.0:
+            continue
+        with mpmath.workdps(80):  # h3's terms cancel ~1e28-fold at x = 1e-14
+            want = exact(a, mpmath.mpf(x))
+        tol = 1e-15 if abs(x) <= 0.25 else 2.3e-13 if name == "h3" else 1.4e-14
+        for got in (fn(a, x), fn(a, np.array([x]))[0]):
+            assert float(abs((got - want) / want)) <= tol, name
+
+
+def test_l_based_values_at_tiny_x():
+    # h2 = x psi'(a)/2 + ... and h4 = psi'(a)/2 + ... there, where the direct
+    # forms divide a rounded 0 by x or x^2
+    assert h2(1.0, 1e-300) == pytest.approx(PI**2 / 12.0 * 1e-300, rel=1e-15)
+    for x in (1e-300, 1e-160):
+        assert h4(1.0, x) == h4(1.0, np.array([x]))[0] == pytest.approx(PI**2 / 12.0, rel=1e-15)
 
 
 # Every public function as f(a, x): for an ndarray x it gives the ndarray of
@@ -195,6 +232,9 @@ _TERMS.update({f"{name}.{n}": _delta_terms(n, name == "log_g1_deriv")
 # 6, a = 2, x = -0.92478626544277 (from 536.6 on the negative side) by 1.07e-14.
 _SPLIT_POINTS = [("h21", 0.5, 327.7728265418133),
                  ("log_g1_deriv.6", 2.0, 536.6068672786173 * 2.0 / 1e3 - 2.0 * 0.999)]
+# At a in {1, 2} h4's direct form split by up to 4.9e-13 at these x, which
+# L's series now gives on both paths.
+_H4_SPLIT = [0.0010545, 0.0013765000000000001, 0.0017725, 0.0020835000000000003, 0.002831]
 
 
 @pytest.mark.parametrize("name", _ARRAY_FNS)
@@ -203,6 +243,10 @@ _SPLIT_POINTS = [("h21", 0.5, 327.7728265418133),
        negative=st.booleans())
 @example(a=0.5, xs=[327.7728265418133], negative=False)
 @example(a=2.0, xs=[536.6068672786173], negative=True)
+@example(a=1.0, xs=_H4_SPLIT, negative=False)
+@example(a=2.0, xs=_H4_SPLIT, negative=False)
+@example(a=1.0, xs=[1e-160], negative=False)
+@example(a=2.0, xs=[1e-160], negative=False)
 @settings(max_examples=40, deadline=None)
 def test_array_path_matches_scalar_path(name, a, xs, negative):
     fn = _ARRAY_FNS[name]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammapower import specfun
 from gammapower.families import delta_n, log_g1_deriv
 from gammapower.specfun import (
     DomainError,
@@ -147,6 +148,13 @@ class TestInvariants:
     def test_polygamma_bounds_where_x_power_overflows(self, n, x):
         # x^n leaves the double range; psi^(n)(x) and both bounds underflow to 0
         assert check_polygamma_bounds(n, x)
+
+    @pytest.mark.parametrize("wrong", [lambda v: 0.0, lambda v: 2.0 * v], ids=["zero", "twice"])
+    def test_polygamma_bounds_reject_a_wrong_small_value(self, monkeypatch, wrong):
+        # psi^(6)(1e3) is ~1.2e-16: a tolerance absolute below 1 would accept both
+        true = specfun.polygamma
+        monkeypatch.setattr(specfun, "polygamma", lambda n, x: wrong(true(n, x)))
+        assert not check_polygamma_bounds(6, 1e3)
 
 
 class TestDomainAndConfig:
