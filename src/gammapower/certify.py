@@ -496,10 +496,8 @@ def expect_violation(inner: ClaimReport, claim_id: str) -> ClaimReport:
     "violated": absence of a counterexample is not evidence either way.
     """
     verdict = Verdict.CERTIFIED if inner.verdict is Verdict.VIOLATED else Verdict.INCONCLUSIVE
-    return ClaimReport(claim_id, inner.params, inner.plan, verdict, inner.witnesses,
-                       inner.min_margin, note=f"expects a violation of inner claim "
-                                              f"{inner.claim_id!r}",
-                       n_witnesses=inner.n_witnesses)
+    return replace(inner, claim_id=claim_id, verdict=verdict, strict=None,
+                   note=f"expects a violation of inner claim {inner.claim_id!r}")
 
 
 # --- claim catalog ----------------------------------------------------------

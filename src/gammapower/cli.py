@@ -3,7 +3,7 @@
 Verbs:
     eval       evaluate any catalog function at a point or over an x-range
     solve      solve a critical-point equation or threshold for a given a
-    verify     run certification claims, emit JSON reports + summary table
+    verify     run certification claims, emit a summary table, CSV or JSON reports
     sweep      write a CSV over an (a, x) grid, for external plotting
     constants  print the built-in constants and the c0 bracket values
 
@@ -257,6 +257,11 @@ def _run_verify(ns, out) -> int:
             json.dump(dicts, fh, sort_keys=True, indent=2, allow_nan=False)
     if ns.format == "json":
         out.write(_VERIFY_JSON.encode(dicts) + "\n")
+    elif ns.format == "csv":
+        out.write("claim_id,verdict,min_margin\n")
+        for r in reports:
+            mm = "" if math.isinf(r.min_margin) else _fmt(r.min_margin)
+            out.write(f"{r.claim_id},{r.verdict.value},{mm}\n")
     else:
         width = max(len(r.claim_id) for r in reports)
         out.write(f"{'claim':<{width}}  verdict       min_margin\n")

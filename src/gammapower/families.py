@@ -24,7 +24,7 @@ projections to closed form:
 h21, h31, h41 and h41' are the shifted-argument numerators whose sign
 changes locate the critical points solved in :mod:`gammapower.critical`.
 At a float these and h3 take psi, psi' and psi'' from one shifted pass of
-specfun (:func:`_psis`), bit for bit the per-order calls.
+specfun (:func:`specfun._psi_orders`), bit for bit the per-order calls.
 
 All evaluations go through log space.  Derivative and series orders n run
 over 1..MAX_ORDER.  Every public function takes a float x, giving a float,
@@ -169,18 +169,6 @@ def _log(x):
     return math.log(x) if type(x) is float or not isinstance(x, np.ndarray) else np.log(x)
 
 
-def _psis(t, top: int) -> tuple:
-    """(psi(t), psi'(t)) for top = 1, or (psi, psi', psi'') for top = 2.
-
-    A float takes one shifted pass of specfun._psi_orders, bit for bit the
-    per-order calls; an ndarray keeps those calls, highest order first.
-    """
-    if type(t) is float or not isinstance(t, np.ndarray):
-        return _psi_orders(t, top)
-    higher = [polygamma(n, t) for n in range(top, 0, -1)]
-    return (digamma(t), *reversed(higher))
-
-
 @functools.cache
 def _series(a: float, k: int) -> tuple[float, ...]:
     """Coefficients of L^(k) = sum_{j>=k} j!/(j-k)! b_j x^(j-k) at a in {1, 2}, highest first:
@@ -311,7 +299,7 @@ def h3(a: float, x):
     if a in (1.0, 2.0) and (v := _near_zero("h3", h3, a, x)) is not None:
         return v
     t = x + a
-    psi, psi1 = _psis(t, 1)
+    psi, psi1 = _psi_orders(t, 1)
     return -x * psi1 + 2.0 * psi - 2.0 * log_gamma(t) / x
 
 
@@ -331,7 +319,7 @@ def h21(a: float, t):
     """(t-a)^2 psi'(t) - (t-a) psi(t) + log Gamma(t); numerator of h2~'."""
     _require("h21", a, t, 0.0)
     u = t - a
-    psi, psi1 = _psis(t, 1)
+    psi, psi1 = _psi_orders(t, 1)
     return u * u * psi1 - u * psi + log_gamma(t)
 
 
@@ -340,7 +328,7 @@ def h31(a: float, t):
     """-(t-a)^3 psi''(t) + (t-a)^2 psi'(t) - 2(t-a) psi(t) + 2 log Gamma(t)."""
     _require("h31", a, t, 0.0)
     u = t - a
-    psi, psi1, psi2 = _psis(t, 2)
+    psi, psi1, psi2 = _psi_orders(t, 2)
     return -(u**3) * psi2 + u * u * psi1 - 2.0 * u * psi + 2.0 * log_gamma(t)
 
 
@@ -349,7 +337,7 @@ def h41(a: float, t):
     """t(t-a)^2 psi'(t) - (t^2-a^2) psi(t) + (t+a) log Gamma(t)."""
     _require("h41", a, t, 0.0)
     u = t - a
-    psi, psi1 = _psis(t, 1)
+    psi, psi1 = _psi_orders(t, 1)
     return t * u * u * psi1 - (t * t - a * a) * psi + (t + a) * log_gamma(t)
 
 
@@ -358,7 +346,7 @@ def h41_prime(a: float, t):
     """t(t-a)^2 psi''(t) + 2(t-a)^2 psi'(t) - (t-a) psi(t) + log Gamma(t)."""
     _require("h41_prime", a, t, 0.0)
     u = t - a
-    psi, psi1, psi2 = _psis(t, 2)
+    psi, psi1, psi2 = _psi_orders(t, 2)
     return t * u * u * psi2 + 2.0 * u * u * psi1 - u * psi + log_gamma(t)
 
 
@@ -423,9 +411,8 @@ def _tail_sum(n: int, r, rn, p, q, far):
         near = 0.0
         for rj, t in zip(r, rn):
             rho, h = p * rj, 0.0
-            if rho:
-                for k in range(n + _terms(abs(rho)), n + 1, -1):
-                    h = (h + 1.0 / k) * rho
+            for k in range(n + _terms(abs(rho)), n + 1, -1):
+                h = (h + 1.0 / k) * rho
             near += t * (h + first)
         return near + q ** (n + 1) * beyond
     rho = p * r
@@ -510,8 +497,6 @@ def delta_n(a: float, n: int, x):
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"delta_n requires 1 <= n <= {MAX_ORDER}, got {n}")
     _require("delta_n", a, x, -a)
-    if (type(x) is float or not isinstance(x, np.ndarray)) and x == 0.0:
-        return 0.0 - log_gamma(a)  # every S_k is 0; 0.0 - keeps log Gamma(1) = 0 unsigned
     return _deltas(a, n, x)[-1]
 
 

@@ -168,7 +168,7 @@ def _euler_maclaurin(s: int, x: float) -> tuple[float, float]:
 _EDGE1, _EDGE2, _EDGE3 = _edge(1), _edge(2), _edge(3)
 
 
-def _psi_orders(t: float, top: int) -> tuple[float, ...]:
+def _psi_orders(t, top: int) -> tuple:
     """(psi(t), psi'(t)) for top = 1, or (psi, psi', psi'') for top = 2, in one pass.
 
     Bit for bit digamma(t), polygamma(1, t) and polygamma(2, t): y runs t,
@@ -176,7 +176,8 @@ def _psi_orders(t: float, top: int) -> tuple[float, ...]:
     its terms only below its own edge and then its own corrections at its
     own y.  From t = 1e-4 on no order's early stop fires and no term
     overflows, so the pass drops those tests; below that, or for anything
-    but a finite float, it calls digamma and polygamma, in order.
+    but a finite float (an ndarray among them), it calls digamma and
+    polygamma, in order.
     """
     if not (type(t) is float and 1e-4 <= t < math.inf):
         return (digamma(t), *(polygamma(n, t) for n in range(1, top + 1)))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -297,6 +298,21 @@ class TestVerify:
         on_disk = json.loads(dest.read_text())
         assert inline == on_disk
         assert inline[0]["verdict"] == "certified"
+
+    # all certified, a violation, and an inconclusive report with no margin
+    @pytest.mark.parametrize("argv, want_code", [(["all"], 0), (["thm1.2.lcm", "--a", "2.5"], 1),
+                                                 (["thm1.2.lcm", "--a", "1e300"], 1)])
+    def test_csv_format_matches_json(self, capsys, argv, want_code):
+        # one row claim_id,verdict,min_margin per report under a header, no
+        # summary line; the margin round-trips, and is empty where JSON has null
+        code, out, err = run(capsys, "verify", "--claim", *argv, "--format", "csv")
+        assert (code, err) == (want_code, "")
+        code, text, _ = run(capsys, "verify", "--claim", *argv, "--format", "json")
+        assert code == want_code
+        want = [(d["claim_id"], d["verdict"], d["min_margin"]) for d in json.loads(text)]
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["claim_id", "verdict", "min_margin"]
+        assert [(i, v, None if m == "" else float(m)) for i, v, m in rows] == want
 
     def test_json_is_strict(self, capsys, tmp_path):
         # no NaN or Infinity token: a parameter a report does not have is

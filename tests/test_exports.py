@@ -1,7 +1,8 @@
 """Every name a gammapower module exports resolves, so no export outlives its definition;
 every name a submodule imports is used, so no import outlives its last use; every
-private module-level helper is referenced, so no helper outlives its last caller; and
-only families divides a log_gamma call, so log Gamma(x+a)/x has one owner."""
+private module-level helper is referenced, so no helper outlives its last caller;
+only families divides a log_gamma call, so log Gamma(x+a)/x has one owner; and only
+specfun calls both digamma and polygamma in one function, so psi's orders have one."""
 
 import ast
 import collections
@@ -90,4 +91,22 @@ def test_log_gamma_quotients_have_one_owner():
              for path in sorted(pathlib.Path(gammapower.__file__).parent.glob("*.py"))
              if path.stem != "families"
              for node in ast.walk(ast.parse(path.read_text())) if _divides_log_gamma(node)]
+    assert found == []
+
+
+def _called(node: ast.AST) -> set:
+    """Names of the functions called anywhere under node, as f(...) or m.f(...)."""
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def test_psi_orders_have_one_owner():
+    # specfun._psi_orders gives psi, psi' and psi'' from one pass, bit for bit
+    # the per-order calls: outside specfun no function or lambda calls both
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(gammapower.__file__).parent.glob("*.py"))
+             if path.stem != "specfun"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.Lambda))
+             and {"digamma", "polygamma"} <= _called(node)]
     assert found == []

@@ -31,7 +31,7 @@ from gammapower.families import (
     log_g3,
     x_logderiv_g3,
 )
-from gammapower import families
+from gammapower import families, specfun
 from gammapower.families import _margin_orders
 from gammapower.certify import SamplePlan
 from gammapower.specfun import DomainError, EULER_GAMMA, digamma, log_gamma, polygamma
@@ -266,6 +266,25 @@ def test_array_path_matches_scalar_path(name, a, xs, negative):
     if name in _TERMS:
         scale = np.maximum(scale, [max(map(abs, _TERMS[name](a, x))) for x in xs])
     assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0])
+def test_delta_blocks_match_scalar_path(a):
+    # _deltas takes each side of an ndarray in blocks of 4096 rows: 4500 tail
+    # rows and 4500 direct rows, on both sides of 0, fill two blocks a side,
+    # and every 11th entry and those next to a block edge match the float path
+    rho = 0.7 if a in (1.0, 2.0) else 0.2
+    lo, hi = -rho * a / (1.0 + rho), rho * a / (1.0 - rho)  # the tail rows' ends
+    x = np.concatenate([np.linspace(0.98 * lo, 0.98 * hi, 4500),
+                        np.linspace(-0.99 * a, 1.02 * lo, 1500), np.linspace(1.02 * hi, 30.0, 3000)])
+    tail = families._tail_rows(a, x)
+    assert tail[:4500].all() and not tail[4500:].any()
+    checked = sorted({*range(0, x.size, 11), 4095, 4096, 4500 + 4095, 4500 + 4096})
+    for n in (1, 6):
+        for fn in (delta_n, log_g1_deriv):
+            got = fn(a, n, x)[checked]
+            want = np.array([fn(a, n, v) for v in x[checked].tolist()])
+            assert (np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))).all(), (fn, n)
 
 
 @pytest.mark.parametrize("name, a, x", _SPLIT_POINTS)
@@ -560,11 +579,10 @@ def test_delta_path_calls_no_polygamma(monkeypatch):
 
 def test_h_functions_take_one_psi_pass_on_a_float(monkeypatch):
     # from t = 1e-4 on, a float h3, h21, h31, h41 or h41' reads psi, psi' and
-    # psi'' from one specfun pass; an ndarray keeps the per-order calls,
-    # highest order first
+    # psi'' from one specfun pass; an ndarray takes the per-order calls, in order
     calls = []
-    monkeypatch.setattr(families, "digamma", lambda t: calls.append(0) or digamma(t))
-    monkeypatch.setattr(families, "polygamma", lambda n, t: calls.append(n) or polygamma(n, t))
+    monkeypatch.setattr(specfun, "digamma", lambda t: calls.append(0) or digamma(t))
+    monkeypatch.setattr(specfun, "polygamma", lambda n, t: calls.append(n) or polygamma(n, t))
     for a in (-3.0, 0.5, 1.5, 2.0):
         for t in (1e-4, 0.37, 2.5, 8.0, 1e3, 1e100):
             for fn in (h21, h31, h41, h41_prime):
@@ -572,8 +590,8 @@ def test_h_functions_take_one_psi_pass_on_a_float(monkeypatch):
             h3(1e-4, t)  # at x + a = t + 1e-4
     assert calls == []
     ts = np.array([0.5, 3.0])
-    for fn, orders in ((h3, [1, 0]), (h21, [1, 0]), (h31, [2, 1, 0]), (h41, [1, 0]),
-                       (h41_prime, [2, 1, 0])):
+    for fn, orders in ((h3, [0, 1]), (h21, [0, 1]), (h31, [0, 1, 2]), (h41, [0, 1]),
+                       (h41_prime, [0, 1, 2])):
         fn(1.5, ts)
         assert calls == orders
         calls.clear()
