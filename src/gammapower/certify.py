@@ -36,7 +36,8 @@ __all__ = [
     "segments", "expect_violation", "claim_ids", "run_claims",
 ]
 
-_PSI1_2 = math.pi**2 / 6.0 - 1.0
+# psi'(2) = pi^2/6 - 1, g3's monotonicity threshold at a = 2 (region D11).
+_PSI1_2 = critical.threshold_g3_increasing(2.0)
 
 # Published bracket of the log-convexity cutoff c0, printed as 0.77797 / 0.79837.
 C0_BRACKET = (75.0 * (28.0 * ZETA3 + PI**3) / 64.0 - 75.0,

@@ -89,8 +89,7 @@ _TAKES_N = {"polygamma", "delta_n", "log_g1_deriv"}
 
 
 def _params(ns) -> fam.Params:
-    sign = fam.Sign.MINUS if ns.sign == "minus" else fam.Sign.PLUS
-    return fam.Params(a=ns.a, c=ns.c, sign=sign)
+    return fam.Params(a=ns.a, c=ns.c, sign=fam.Sign(ns.sign))
 
 
 def count(text: str) -> int:
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fn", required=True, choices=sorted(FN_CATALOG))
         p.add_argument("--c", type=float, default=0.0)
         p.add_argument("--n", type=int, default=None, help="order for polygamma/delta_n/log_g1_deriv")
-        p.add_argument("--sign", choices=["plus", "minus"], default="plus")
+        p.add_argument("--sign", choices=[s.value for s in fam.Sign], default="plus")
         p.add_argument("--points", type=count, default=100)
 
     sub.add_parser("constants", help="print constants and the c0 bracket")

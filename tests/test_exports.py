@@ -1,8 +1,10 @@
-"""Every name a gammapower module exports resolves, so no export outlives its definition;
-every name a submodule imports is used, so no import outlives its last use; every
-private module-level helper is referenced, so no helper outlives its last caller;
-only families divides a log_gamma call, so log Gamma(x+a)/x has one owner; and only
-specfun calls both digamma and polygamma in one function, so psi's orders have one."""
+"""Every name a gammapower module exports resolves, so no export outlives its definition,
+and the package binds it to the same object, so a public name is listed once, in its
+module's `__all__`; every name a submodule imports is used, so no import outlives its
+last use; every private module-level helper is referenced, so no helper outlives its
+last caller; only families divides a log_gamma call, so log Gamma(x+a)/x has one owner;
+and only specfun calls both digamma and polygamma in one function, so psi's orders have
+one."""
 
 import ast
 import collections
@@ -30,6 +32,23 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from gammapower.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+# the modules the package re-exports with `from .<module> import *`
+LAYERS = ["specfun", "families", "critical", "certify"]
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_package_exports_every_public_name(name):
+    module = importlib.import_module(f"gammapower.{name}")
+    assert [n for n in module.__all__ if getattr(gammapower, n, None) is not getattr(module, n)] == []
+
+
+def test_no_name_in_two_layers():
+    # so no star import shadows another
+    names = collections.Counter(n for name in LAYERS
+                                for n in importlib.import_module(f"gammapower.{name}").__all__)
+    assert [n for n, k in names.items() if k > 1] == []
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

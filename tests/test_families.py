@@ -556,14 +556,14 @@ def test_log_g1_deriv_finite_where_x_power_is_not():
 
 def test_delta_path_calls_no_polygamma(monkeypatch):
     # delta_n, log_g1_deriv and the LCM margins sum powers of x/(x+a+j), and
-    # at the removable point x = 0 powers of 1/(a+j): no psi of order >= 1
+    # at the removable point x = 0 powers of 1/(a+j): no psi of order >= 1,
+    # whether through polygamma or _psi_orders, in families or in specfun
     calls = []
-
-    def counted(n, x):
-        calls.append(n)
-        return polygamma(n, x)
-
-    monkeypatch.setattr(families, "polygamma", counted)
+    psi_orders = specfun._psi_orders
+    for module in (families, specfun):
+        monkeypatch.setattr(module, "polygamma", lambda n, x: calls.append(n) or polygamma(n, x))
+        monkeypatch.setattr(module, "_psi_orders",
+                            lambda t, top: calls.append(("_psi_orders", top)) or psi_orders(t, top))
     xs = [-0.5, 0.0, 0.05, 0.3, 2.5, 40.0]
     for a in (1.0, 1.5, 2.0):
         for n in (1, 6, 30, 170):
