@@ -236,6 +236,12 @@ class ClaimReport:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
+def _label(v: float) -> str:
+    """v as a claim id writes it: format g where that reads back as v, repr otherwise."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 # (where, margins, required): an (N, k) array of sample locations, N rows of
 # margins, and the relation each margin column checks (one string for all).
 Block = tuple["np.ndarray", object, "str | Sequence[str]"]
@@ -352,7 +358,7 @@ def certify_lcm(a: float, max_order: int, plan: SamplePlan,
         margins = np.stack(fam._margin_orders(a, x, max_order, "LCM margins"), axis=-1)
         return [(where, margins, "(-1)^n (log g1)^(n) > 0")]
 
-    return _check(claim_id or f"lcm.a={a:g}", fam.Params(a=a), plan, blocks)
+    return _check(claim_id or f"lcm.a={_label(a)}", fam.Params(a=a), plan, blocks)
 
 
 def certify_logconvex(a: float, c: float, plan: SamplePlan, sense: str,
@@ -532,9 +538,10 @@ def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
     """The catalog: (base id, claim-id template, check, default params) rows.
 
     A row runs as check(plan=..., claim_id=template.format(**params),
-    **params), with the plan's interval set to params["interval"] (default
-    (1e-2, 50)), which is not passed on.  The rows are built per run, so each
-    check is the function the module holds at that time.
+    **params), each float param written by :func:`_label`, with the plan's
+    interval set to params["interval"] (default DEFAULT_PLAN's), which is not
+    passed on.  The rows are built per run, so each check is the function the
+    module holds at that time.
     """
     def onlyif(check):
         return lambda plan, claim_id, **p: expect_violation(check(plan=plan, **p), claim_id)
@@ -564,49 +571,49 @@ def _claims() -> list[tuple[str, str, Callable[..., ClaimReport], dict]]:
     inc, dec = "increasing", "decreasing"
     return [
         ("constants", "constants.c0-bracket", _constants, {}),
-        *[("thm1.1.mono", "thm1.1.mono.a={a:g}", _thm1_mono, dict(a=a))
+        *[("thm1.1.mono", "thm1.1.mono.a={a}", _thm1_mono, dict(a=a))
           for a in (-1.0, 0.5, 1.5, 3.0)],
-        *[("thm1.2.lcm", "thm1.2.lcm.a={a:g}", certify_lcm, dict(lcm, a=a))
+        *[("thm1.2.lcm", "thm1.2.lcm.a={a}", certify_lcm, dict(lcm, a=a))
           for a in (1.0, 1.5, 2.0)],
-        *[("thm1.2.lcm", "thm1.2.lcm.full.a={a:g}", certify_lcm, dict(lcm, a=a, interval=iv))
+        *[("thm1.2.lcm", "thm1.2.lcm.full.a={a}", certify_lcm, dict(lcm, a=a, interval=iv))
           for a, iv in ((1.0, (-0.99, 30.0)), (2.0, (-1.99, 30.0)))],
-        *[("thm1.2.lcm.onlyif", "thm1.2.lcm.onlyif.a={a:g}", onlyif(certify_lcm), dict(lcm, a=a))
+        *[("thm1.2.lcm.onlyif", "thm1.2.lcm.onlyif.a={a}", onlyif(certify_lcm), dict(lcm, a=a))
           for a in (0.5, 2.5)],
-        *[("thm2.1.mono", "thm2.1.{direction:.3}.a={a:g}.c={c:g}", g2, dict(a=a, c=c, direction=d))
+        *[("thm2.1.mono", "thm2.1.{direction:.3}.a={a}.c={c}", g2, dict(a=a, c=c, direction=d))
           for a, c, d in ((0.75, 1.0, dec), (3.0, 1.0, dec), (2.0, 1.0, dec),
                           (1.0, 0.0, inc), (2.0, 0.0, inc), (1.5, 0.0, inc))],
         # h2(2, x) only crosses 0.9 near x ~ 100, so the sweep must reach
         # well past the default interval to find its witness
-        ("thm2.1.onlyif", "thm2.1.onlyif.a={a:g}.c={c:g}", onlyif(g2),
+        ("thm2.1.onlyif", "thm2.1.onlyif.a={a}.c={c}", onlyif(g2),
          dict(a=2.0, c=0.9, direction=dec, interval=(1e-2, 1e3))),
-        *[("thm2.2.logconvex", "thm2.2.{sense}.a={a:g}.c={c:g}", certify_logconvex,
+        *[("thm2.2.logconvex", "thm2.2.{sense}.a={a}.c={c}", certify_logconvex,
            dict(a=a, c=c, sense=s))
           for a, c, s in ((3.0, 1.0, "convex"), (2.0, 1.0, "convex"), (2.0, 0.0, "concave"))],
-        ("thm2.2.onlyif", "thm2.2.onlyif.a={a:g}.c={c:g}", onlyif(certify_logconvex),
+        ("thm2.2.onlyif", "thm2.2.onlyif.a={a}.c={c}", onlyif(certify_logconvex),
          dict(a=2.0, c=0.5, sense="convex")),
-        *[("thm2.3.geoconvex", "thm2.3.geoconvex.a={a:g}.c={c:g}", geo2,
+        *[("thm2.3.geoconvex", "thm2.3.geoconvex.a={a}.c={c}", geo2,
            dict(a=a, c=c, direction=inc)) for a, c in ((0.75, -3.0), (3.0, 1.0))],
-        ("thm2.3.geoconvex", "thm2.3.piecewise.a={a:g}.c={c:g}", split_at_x3, dict(a=1.5, c=0.0)),
-        ("thm3.1.mono", "thm3.1.dec.a={a:g}.c={c:g}", g3, dict(a=3.0, c=1.0, direction=dec)),
-        ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr", g3, dict(a=2.0, c=_PSI1_2, direction=inc)),
-        ("thm3.1.mono", "thm3.1.inc.a={a:g}.c=thr-0.01", g3,
+        ("thm2.3.geoconvex", "thm2.3.piecewise.a={a}.c={c}", split_at_x3, dict(a=1.5, c=0.0)),
+        ("thm3.1.mono", "thm3.1.dec.a={a}.c={c}", g3, dict(a=3.0, c=1.0, direction=dec)),
+        ("thm3.1.mono", "thm3.1.inc.a={a}.c=thr", g3, dict(a=2.0, c=_PSI1_2, direction=inc)),
+        ("thm3.1.mono", "thm3.1.inc.a={a}.c=thr-0.01", g3,
          dict(a=1.5, c=_g3_below_threshold(), direction=inc)),
-        *[("thm3.2.geoconvex", "thm3.2.geoconvex.a={a:g}.c={c:g}", geo3,
+        *[("thm3.2.geoconvex", "thm3.2.geoconvex.a={a}.c={c}", geo3,
            dict(a=a, c=-1.0, direction=inc)) for a in (0.75, 3.0)],
         *[(template.split(".")[0], template, ineq(template.split(".")[0]), params)
           for template, params in (
-              ("ineq1.a={a:g}", dict(a=1.5)), ("ineq2.a={a:g}", dict(a=1.0)),
-              ("ineq3.a={a:g}", dict(a=0.75)), ("ineq3.a={a:g}", dict(a=3.0)),
-              ("ineq4.a={a:g}.c={c:g}", dict(a=0.75, c=1.5)),
-              ("ineq4.rev.a={a:g}.c={c:g}", dict(a=2.0, c=-1.0)),
-              ("ineq5.a={a:g}.c={c:g}", dict(a=2.0, c=1.0)),
-              ("ineq5.rev.a={a:g}.c={c:g}", dict(a=2.0, c=-1.0)),
-              ("ineq6.a={a:g}.c={c:g}", dict(a=3.0, c=2.0)),
-              ("ineq6.rev.a={a:g}.c={c:g}", dict(a=2.0, c=0.0)),
-              ("ineq7.a={a:g}.c={c:g}", dict(a=0.75, c=-1.0)),
-              ("ineq7.a={a:g}.c={c:g}", dict(a=3.0, c=-1.0)))],
+              ("ineq1.a={a}", dict(a=1.5)), ("ineq2.a={a}", dict(a=1.0)),
+              ("ineq3.a={a}", dict(a=0.75)), ("ineq3.a={a}", dict(a=3.0)),
+              ("ineq4.a={a}.c={c}", dict(a=0.75, c=1.5)),
+              ("ineq4.rev.a={a}.c={c}", dict(a=2.0, c=-1.0)),
+              ("ineq5.a={a}.c={c}", dict(a=2.0, c=1.0)),
+              ("ineq5.rev.a={a}.c={c}", dict(a=2.0, c=-1.0)),
+              ("ineq6.a={a}.c={c}", dict(a=3.0, c=2.0)),
+              ("ineq6.rev.a={a}.c={c}", dict(a=2.0, c=0.0)),
+              ("ineq7.a={a}.c={c}", dict(a=0.75, c=-1.0)),
+              ("ineq7.a={a}.c={c}", dict(a=3.0, c=-1.0)))],
         *[("cmp", cid, _comparison, {}) for cid in _COMPARISONS],
-        *[("lemma.ranges", f"lemma.{name}.range.a={{a:g}}", h_range(h),
+        *[("lemma.ranges", f"lemma.{name}.range.a={{a}}", h_range(h),
            dict(a=a, lower=lower, upper=1.0))
           for name, h, a, lower in (("h2", fam.h2, 0.75, -math.inf), ("h2", fam.h2, 3.0, -math.inf),
                                     ("h2", fam.h2, 1.0, 0.0), ("h2", fam.h2, 2.0, 0.0),
@@ -626,7 +633,8 @@ def run_claims(which: str = "all", plan: SamplePlan = DEFAULT_PLAN, a: float | N
     `which` is a base identifier (see :func:`claim_ids`) or "all".  An `a`
     and/or `c` override runs only the first row of that base id, at the
     given parameters; an override that row does not take, a non-finite
-    override, or any override with "all", raises ValueError.
+    override, or any override with "all", raises ValueError.  Each row's
+    interval comes from the catalog, so `plan.interval` is not used.
     """
     rows = [row for row in _claims() if which in ("all", row[0])]
     if not rows:
@@ -642,7 +650,8 @@ def run_claims(which: str = "all", plan: SamplePlan = DEFAULT_PLAN, a: float | N
     reports = []
     for _, template, check, defaults in rows:
         params = {**defaults, **overrides}
-        interval = params.pop("interval", (1e-2, 50.0))
+        interval = params.pop("interval", DEFAULT_PLAN.interval)
+        labels = {k: _label(v) if isinstance(v, float) else v for k, v in params.items()}
         reports.append(check(plan=replace(plan, interval=interval),
-                             claim_id=template.format(**params), **params))
+                             claim_id=template.format(**labels), **params))
     return sorted(reports, key=lambda r: r.claim_id)

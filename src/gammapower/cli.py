@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run certification claims")
     p_verify.add_argument("--claim", required=True,
-                          help='a claim id or "all"; see --list-claims')
+                          help='a claim id or "all"; the list-claims command lists them')
     p_verify.add_argument("--a", type=float, default=None)
     p_verify.add_argument("--c", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=None)

@@ -178,21 +178,11 @@ def _series(a: float, k: int) -> tuple[float, ...]:
     return tuple(math.perm(j, k) * b[j] for j in range(_SERIES_TERMS - 1, k - 1, -1))
 
 
-_FROM_SERIES = {
-    "L": (0, lambda x, a, d: d),
-    "h1": (1, lambda x, a, d: 0.0 - x * (x * d)),  # 0.0 - keeps h1(0) = 0 unsigned
-    "h2": (1, lambda x, a, d: x * d),
-    "h3": (2, lambda x, a, d: -x * (x * d)),
-    "h4": (1, lambda x, a, d: (x + a) * d),
-}
+def _near_zero(k: int, value, fn, a: float, x):
+    """A reader of L at a in {1, 2} (the caller checked a and x) from L's series, or None.
 
-
-def _near_zero(part: str, fn, a: float, x):
-    """Reader `part` at a in {1, 2} (the caller checked a and x) from L's series, or None.
-
-    :data:`_FROM_SERIES` gives its k and value from x, a and d = L^(k)(x) in the window
-    |x| <= _SERIES_RADIUS; None means no x lies there.  Other ndarray entries take fn(a, .)."""
-    k, value = _FROM_SERIES[part]
+    value(t, d) gives the reader from t, the x in the window |x| <= _SERIES_RADIUS, and
+    d = L^(k)(t); None means no x lies there.  Other ndarray entries take fn(a, .)."""
     scalar = type(x) is float or not isinstance(x, np.ndarray)
     rows = abs(x) <= _SERIES_RADIUS
     if not (rows if scalar else rows.any()):
@@ -201,15 +191,15 @@ def _near_zero(part: str, fn, a: float, x):
     for c in _series(a, k):
         d = d * t + c
     if scalar:
-        return value(t, a, d)
+        return value(t, d)
     v = np.empty(x.shape)
-    v[rows], v[~rows] = value(t, a, d), fn(a, x[~rows])
+    v[rows], v[~rows] = value(t, d), fn(a, x[~rows])
     return v
 
 
 def _lg_over(a: float, x):
     """L(x) = log Gamma(x+a)/x for a float or an ndarray; the caller checks the domain."""
-    v = _near_zero("L", _lg_over, a, x) if a in (1.0, 2.0) else None
+    v = _near_zero(0, lambda t, d: d, _lg_over, a, x) if a in (1.0, 2.0) else None
     return log_gamma(x + a) / x if v is None else v
 
 
@@ -277,7 +267,8 @@ def g3(a: float, c: float, x):
 def h1(a: float, x):
     """-x psi(x+a) + log Gamma(x+a); equals x^2 (log g1)'(x)."""
     _require("h1", a, x, -a)
-    v = _near_zero("h1", h1, a, x) if a in (1.0, 2.0) else None
+    # 0.0 - keeps h1(0) = 0 unsigned
+    v = _near_zero(1, lambda t, d: 0.0 - t * (t * d), h1, a, x) if a in (1.0, 2.0) else None
     return -x * digamma(x + a) + log_gamma(x + a) if v is None else v
 
 
@@ -285,7 +276,7 @@ def h1(a: float, x):
 def h2(a: float, x):
     """(x psi(x+a) - log Gamma(x+a)) / x; equals x (log g2)' + c."""
     _require("h2", a, x, 0.0, a_lo=0.0)
-    v = _near_zero("h2", h2, a, x) if a in (1.0, 2.0) else None
+    v = _near_zero(1, lambda t, d: t * d, h2, a, x) if a in (1.0, 2.0) else None
     return digamma(x + a) - log_gamma(x + a) / x if v is None else v
 
 
@@ -296,7 +287,7 @@ def h3(a: float, x):
     Satisfies (log g2)'' = (c - h3(x)) / x^2.
     """
     _require("h3", a, x, 0.0, a_lo=0.0)
-    if a in (1.0, 2.0) and (v := _near_zero("h3", h3, a, x)) is not None:
+    if a in (1.0, 2.0) and (v := _near_zero(2, lambda t, d: -t * (t * d), h3, a, x)) is not None:
         return v
     t = x + a
     psi, psi1 = _psi_orders(t, 1)
@@ -310,7 +301,7 @@ def h4(a: float, x):
     Satisfies (log g3)' = (h4(x) - c) / (x + a).
     """
     _require("h4", a, x, 0.0, a_lo=0.0)
-    v = _near_zero("h4", h4, a, x) if a in (1.0, 2.0) else None
+    v = _near_zero(1, lambda t, d: (t + a) * d, h4, a, x) if a in (1.0, 2.0) else None
     return (x + a) * (x * digamma(x + a) - log_gamma(x + a)) / (x * x) if v is None else v
 
 

@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -423,6 +424,19 @@ class TestReportsAndCatalog:
         (r,) = run_claims("thm2.2.logconvex", SMALL, a=7.0, c=3.0)
         assert r.claim_id == "thm2.2.convex.a=7.c=3"
         assert (r.params.a, r.params.c) == (7.0, 3.0)
+
+    def test_override_ids_name_the_exact_parameters(self):
+        # format g keeps 6 digits: a = 0.9999999 would read a=1, where the claim holds
+        def params(claim_id):
+            return {k: float(v) for k, v in re.findall(r"\.([ac])=(.*?)(?=\.[ac]=|$)", claim_id)}
+
+        for a in (0.9999999, 2.0000001, 1.999999999999, 1e300):
+            (r,) = run_claims("thm1.2.lcm", SMALL, a=a)
+            assert params(r.claim_id) == {"a": a}, r.claim_id
+        (r,) = run_claims("thm3.1.mono", SMALL, a=2.0, c=0.6449340668482264)
+        assert r.claim_id == "thm3.1.dec.a=2.c=0.6449340668482264"
+        assert params(r.claim_id) == {"a": r.params.a, "c": r.params.c}
+        assert certify_lcm(0.9999999, 1, SMALL).claim_id == "lcm.a=0.9999999"
 
     def test_override_not_taken_is_refused(self):
         with pytest.raises(ValueError):

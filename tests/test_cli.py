@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -539,6 +540,17 @@ class TestArgparseBehavior:
         verbs = cli._verb_parsers()
         assert cli._verb_parsers() is verbs
         assert [(v, p.prog) for v, p in verbs.items()] == [(v, f"gammapower {v}") for v in cli._VERBS]
+
+    def test_verify_help_names_the_list_claims_verb(self, capsys):
+        from gammapower import cli
+
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0 and "list-claims command" in out
+        parsers = [cli._parser(), *cli._verb_parsers().values()]
+        assert [p.prog for p in parsers if "--list-claims" in p._option_string_actions] == []
+        # and no help text names an option its parser does not define
+        assert [(p.prog, flag) for p in parsers for flag in re.findall(r"--[\w-]+", p.format_help())
+                if flag not in p._option_string_actions] == []
 
     @given(argv=_requests())
     @settings(max_examples=150, deadline=None)

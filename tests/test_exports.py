@@ -3,8 +3,8 @@ and the package binds it to the same object, so a public name is listed once, in
 module's `__all__`; every name a submodule imports is used, so no import outlives its
 last use; every private module-level helper is referenced, so no helper outlives its
 last caller; only families divides a log_gamma call, so log Gamma(x+a)/x has one owner;
-and only specfun calls both digamma and polygamma in one function, so psi's orders have
-one."""
+only specfun calls both digamma and polygamma in one function, so psi's orders have
+one; and every _near_zero call sits behind its a in (1.0, 2.0) gate."""
 
 import ast
 import collections
@@ -129,3 +129,30 @@ def test_psi_orders_have_one_owner():
              if isinstance(node, (ast.FunctionDef, ast.Lambda))
              and {"digamma", "polygamma"} <= _called(node)]
     assert found == []
+
+
+def _window_gate(node: ast.AST) -> bool:
+    """node is the test a in (1.0, 2.0)."""
+    return isinstance(node, ast.Compare) and ast.unparse(node) == "a in (1.0, 2.0)"
+
+
+def test_near_zero_is_called_behind_its_gate():
+    # each caller of families._near_zero builds its series formula as a lambda:
+    # only in the true branch of an `a in (1.0, 2.0)` test (an IfExp's body, or
+    # a later operand of an `and`), so a call at any other a builds none
+    trees = [ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(gammapower.__file__).parent.glob("*.py"))]
+    calls = {n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and "_near_zero" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))}
+    gated = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.IfExp) and _window_gate(node.test):
+            branches = [node.body]
+        elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            first = next((i for i, v in enumerate(node.values) if _window_gate(v)), len(node.values))
+            branches = node.values[first + 1:]
+        else:
+            continue
+        gated |= {n for branch in branches for n in ast.walk(branch)}
+    assert calls
+    assert sorted(n.lineno for n in calls - gated) == []

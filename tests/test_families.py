@@ -159,6 +159,23 @@ def test_log_g1_taylor_window_matches_mpmath(a, x):
             assert float(abs((got - want) / want)) <= tol, name
 
 
+_WINDOW_X = [*np.linspace(-0.25, 0.25, 4001).tolist(),
+             0.0, -0.0, 0.25, -0.25, 1e-300, -1e-300, 5e-324]
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("name", ["h1", "h2", "h3", "h4", "log_g1"])
+def test_window_float_and_array_agree_bit_for_bit(name, a):
+    # in the window both paths run the same Horner steps on the same doubles, so
+    # any faster array form must keep them equal; log_g2 and log_g3 are left out,
+    # as their c log term takes np.log on an ndarray and math.log on a float
+    fn = {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "log_g1": log_g1}[name]
+    xs = [x for x in _WINDOW_X if x > 0.0 or name in ("h1", "log_g1")]
+    want = np.array([fn(a, x) for x in xs])
+    got = fn(a, np.array(xs))
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_l_based_values_at_tiny_x():
     # h2 = x psi'(a)/2 + ... and h4 = psi'(a)/2 + ... there, where the direct
     # forms divide a rounded 0 by x or x^2
