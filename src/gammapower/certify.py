@@ -11,7 +11,11 @@ sample locations, and one core, `_check`, folds them into a report and its
 verdict; it alone computes them with numpy's floating-point errors off.  The
 public checks are certify_monotone, _lcm, _logconvex, _inequality and
 _range, and the `segments` and `expect_violation` combinators.  Samples are
-built once per process per definition, so a one-shot process gains nothing.
+built once per process per definition, and while `_check` runs, specfun's
+column table keeps log Gamma, psi, psi^(n) and the near-zero series on the
+last 128 arrays computed.  A process that certifies many claims reuses both
+across rows and calls; a one-shot process builds each sample once, and
+reuses a column only within its one run.
 The module also houses the parameter-region taxonomy D1..D11 and the
 catalog of named claims driven by the command line (`verify --claim ...`).
 """
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-from .specfun import EULER_GAMMA, MAX_ORDER, PI, ZETA3, np
+from .specfun import EULER_GAMMA, MAX_ORDER, PI, ZETA3, _TABLE_OPEN, np
 from . import families as fam
 from . import critical
 
@@ -251,14 +255,17 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
            blocks: Callable[[], list[Block]], note: str = "") -> ClaimReport:
     """The certification core: evaluate `blocks()` and fold it into a report.
 
-    `blocks()` runs with numpy's floating-point errors off.  A margin below
-    -tol is a violation witness; all are counted, and the first
-    _MAX_WITNESSES, block by block in row-major order, are listed.  An
-    evaluation error, a run that checks no margin, or a non-finite margin
-    (an overflow, say) makes the report inconclusive.
+    `blocks()` runs with numpy's floating-point errors off and with specfun's
+    column table open, so a sample array that recurs across claims takes its
+    special-function values from there.  A margin below -tol is a violation
+    witness; all are counted, and the first _MAX_WITNESSES, block by block in
+    row-major order, are listed.  An evaluation error, a run that checks no
+    margin, or a non-finite margin (an overflow, say) makes the report
+    inconclusive.
     """
     report = ClaimReport(claim_id, params, plan, Verdict.INCONCLUSIVE, note=note)
     built = []
+    table = _TABLE_OPEN.set(True)
     try:
         with np.errstate(all="ignore"):
             for where, margins, required in blocks():
@@ -268,6 +275,8 @@ def _check(claim_id: str, params: fam.Params, plan: SamplePlan,
     except (ValueError, ArithmeticError) as exc:
         report.note = f"evaluation error: {exc}"
         return report
+    finally:
+        _TABLE_OPEN.reset(table)
     flat = np.concatenate([m.ravel() for _, m, _ in built] or [np.empty(0)])
     if not flat.size or not np.isfinite(flat).all():
         bad = np.count_nonzero(~np.isfinite(flat))

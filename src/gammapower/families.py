@@ -28,8 +28,9 @@ specfun (:func:`specfun._psi_orders`), bit for bit the per-order calls.
 
 All evaluations go through log space.  Derivative and series orders n run
 over 1..MAX_ORDER.  Every public function takes a float x, giving a float,
-or an ndarray of x, giving an ndarray of its shape, from one body: only the
-private helpers test whether x is an ndarray.
+or an ndarray of x, giving an ndarray of its shape (0-d included), from one
+body: only the private helpers test whether x is an ndarray.  Any other x, a
+NumPy scalar or an int, is taken as float(x).
 
 Every public function is total: a non-finite a or x, or an x outside the
 domain, raises DomainError, and a value that is not finite OverflowError.
@@ -56,7 +57,7 @@ from enum import Enum
 from itertools import accumulate, repeat
 
 from .specfun import MAX_ORDER, DomainError, digamma, log_gamma, polygamma, EULER_GAMMA, np
-from .specfun import _UNIT_ROUNDOFF, _corrections, _edge, _psi_orders
+from .specfun import _UNIT_ROUNDOFF, _column, _corrections, _edge, _psi_orders
 
 __all__ = [
     "Sign",
@@ -107,36 +108,48 @@ class Params:
 def _total(fn):
     """fn(..., x), where a value that is not finite raises OverflowError.
 
-    An ndarray x is computed under np.errstate, so that an overflow reaches
-    this check and not stderr; for a float x, a division by an underflowed 0
-    or a math overflow is inf.  Either way the error names the first entry
-    of x that fails as the float path does.
+    Any x but an ndarray is taken as float(x), and gives a float.  An ndarray
+    is taken as float64 and computed flat under np.errstate, so that an
+    overflow reaches this check and not stderr; its value takes x's shape, 0-d
+    included.  For a float x, a division by an underflowed 0 or a math
+    overflow is inf.  Either way the error names the first entry of x that
+    fails as the float path does.
     """
     @functools.wraps(fn)
     def total(*args):
         x = args[-1]
-        if type(x) is float or not isinstance(x, np.ndarray):
-            try:
-                v = fn(*args)
-            except (ZeroDivisionError, OverflowError):
-                v = math.inf
-            if -math.inf < v < math.inf:
-                return float(v)
-        else:
-            try:
-                with np.errstate(all="ignore"):
-                    v = fn(*args)
-            except (ZeroDivisionError, OverflowError):
-                # the array call cannot say which entry raised; the float path can
-                for xi in x.ravel().tolist():
-                    total(*args[:-1], float(xi))
-                raise
-            bad = ~np.isfinite(v)
-            if not bad.any():
-                return v
-            x, v = float(x[bad][0]), float(v[bad][0])
-        raise OverflowError(f"{fn.__name__} is not finite at x={x!r}: {v}")
+        if type(x) is not float:
+            if isinstance(x, np.ndarray):
+                return total_array(args[:-1], x)
+            x = float(x)
+            args = (*args[:-1], x)
+        try:
+            v = fn(*args)
+        except (ZeroDivisionError, OverflowError):
+            v = math.inf
+        if -math.inf < v < math.inf:
+            return float(v)
+        raise _not_finite(fn, x, v)
+
+    def total_array(head, x):
+        flat = np.asarray(x, dtype=float).ravel()
+        try:
+            with np.errstate(all="ignore"):
+                v = fn(*head, flat)
+        except (ZeroDivisionError, OverflowError):
+            # the array call cannot say which entry raised; the float path can
+            for xi in flat.tolist():
+                total(*head, xi)
+            raise
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise _not_finite(fn, float(flat[bad][0]), float(v[bad][0]))
+        return v.reshape(x.shape)
     return total
+
+
+def _not_finite(fn, x: float, v: float) -> OverflowError:
+    return OverflowError(f"{fn.__name__} is not finite at x={x!r}: {v}")
 
 
 def _require(name: str, a: float, x, lo: float, zero: bool = True,
@@ -187,14 +200,20 @@ def _near_zero(k: int, value, fn, a: float, x):
     rows = abs(x) <= _SERIES_RADIUS
     if not (rows if scalar else rows.any()):
         return None
-    t, d = x if scalar else x[rows], 0.0
+    if scalar:
+        return value(x, _horner(a, k, x))
+    t = x[rows]
+    v = np.empty(x.shape)
+    v[rows], v[~rows] = value(t, _column(_horner, a, k, t)), fn(a, x[~rows])
+    return v
+
+
+def _horner(a: float, k: int, t):
+    """L^(k)(t) at a in {1, 2} from the :func:`_series` coefficients; t a float or an ndarray."""
+    d = 0.0
     for c in _series(a, k):
         d = d * t + c
-    if scalar:
-        return value(t, d)
-    v = np.empty(x.shape)
-    v[rows], v[~rows] = value(t, d), fn(a, x[~rows])
-    return v
+    return d
 
 
 def _lg_over(a: float, x):

@@ -14,13 +14,25 @@ psi, psi' and psi'' of one t come from one shifted pass over t, t+1, ...
 its terms below its own edge and its own corrections at its own y, so the
 three values are bit for bit those of the separate calls.
 
-Array in, array out: each public function also takes an ndarray of x and
-returns an ndarray of its shape.  The array path adds the direct terms of
-every entry at once, each entry stepping up to the same edge (without the
-scalar loop's early stop), then applies the same corrections; it agrees with
-the scalar path to rounding.  A float keeps the scalar loop and its cost:
-the dispatch tests `type(x) is float` first, which is cheaper than the
-isinstance check it skips.
+Array in, array out: log_gamma, digamma and polygamma also take an ndarray
+of x and return a new ndarray of its shape, 0-d included.  The array path
+adds the direct terms of every entry at once, each entry stepping up to the
+same edge (without the scalar loop's early stop), then applies the same
+corrections; it agrees with the scalar path to rounding.  A float keeps the
+scalar loop and its cost: the dispatch tests `type(x) is float` first, which
+is cheaper than the isinstance check it skips.  Any other x, a NumPy scalar
+or an int, is taken as float(x), so it is computed in double precision and
+gives a float.
+
+While certify evaluates a claim, the array results come from the column
+table: a memo of the last _TABLE_SIZE results of the three array paths and
+of families' near-zero series, keyed by the function, its scalar arguments
+and the bytes of x.  The claims of the catalog read log Gamma, psi and
+psi^(n) at x + a on the same sample arrays again and again.  The table is
+bounded, thread-safe (one functools.lru_cache) and opened only by
+certify._check, for the duration of one claim in that thread; each caller
+gets its own copy of a value, bit for bit the one computed.  Everywhere else
+the array paths compute every call.
 
 numpy is imported on first use, through the module-level `np` that
 families, certify and cli share: a float path never touches it, so scalar
@@ -37,6 +49,7 @@ its inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 
@@ -220,15 +233,47 @@ def _euler_maclaurin_array(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return total + y**-s * _remainder(s, y), y
 
 
+# The column table (module docstring), read and filled only while _TABLE_OPEN is
+# true in the running context: certify._check alone sets it.  One run_claims("all")
+# reads 65 distinct columns, and a perfbench catalog round (four seeds) 93.
+_TABLE_OPEN = contextvars.ContextVar("_TABLE_OPEN", default=False)
+_TABLE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _table(fn, args: tuple, data: bytes) -> np.ndarray:
+    """fn(*args, x) at the flat x whose float64 bytes are data; an error is not stored."""
+    return fn(*args, np.frombuffer(data))
+
+
+def _column(fn, *args) -> np.ndarray:
+    """fn(*args[:-1], x.ravel()), reshaped to x = args[-1]: a fresh ndarray of x's shape.
+
+    x is a validated float64 ndarray and fn maps a flat x to the flat array of
+    its values.  While the column table is open the value comes from it.
+    """
+    x = args[-1]
+    if _TABLE_OPEN.get():
+        v = _table(fn, args[:-1], x.tobytes()).copy()
+    else:
+        v = fn(*args[:-1], x.ravel())
+    return v.reshape(x.shape)
+
+
+def _log_gamma_array(x: np.ndarray) -> np.ndarray:
+    try:
+        return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
+    except OverflowError:
+        # only large x overflow, and log Gamma increases there
+        raise _overflow("log Gamma", np.max(x)) from None
+
+
 def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
     """log Gamma(x) for x > 0."""
-    if type(x) is not float and isinstance(x, np.ndarray):
-        x = _positive_array(x)
-        try:
-            return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
-        except OverflowError:
-            # only large x overflow, and log Gamma increases there
-            raise _overflow("log Gamma", np.max(x)) from None
+    if type(x) is not float:
+        if isinstance(x, np.ndarray):
+            return _column(_log_gamma_array, _positive_array(x))
+        x = float(x)
     _require_positive(x)
     try:
         return math.lgamma(x)
@@ -236,14 +281,19 @@ def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
         raise _overflow("log Gamma", x) from None
 
 
+def _digamma_array(x: np.ndarray) -> np.ndarray:
+    total, y = _euler_maclaurin_array(1, x)
+    if (total == math.inf).any():
+        raise _overflow("psi", np.min(x))  # the sum decreases in x
+    return np.log(y) - total
+
+
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
     """psi(x) for x > 0."""
-    if type(x) is not float and isinstance(x, np.ndarray):
-        x = _positive_array(x)
-        total, y = _euler_maclaurin_array(1, x)
-        if (total == math.inf).any():
-            raise _overflow("psi", np.min(x))  # the sum decreases in x
-        return np.log(y) - total
+    if type(x) is not float:
+        if isinstance(x, np.ndarray):
+            return _column(_digamma_array, _positive_array(x))
+        x = float(x)
     _require_positive(x)
     try:
         total, y = _euler_maclaurin(1, x)
@@ -252,27 +302,32 @@ def digamma(x: float | np.ndarray) -> float | np.ndarray:
     return math.log(y) - total
 
 
+def _polygamma_array(n: int, x: np.ndarray) -> np.ndarray:
+    total, y = _euler_maclaurin_array(n + 1, x)
+    with np.errstate(over="ignore"):
+        value = math.factorial(n) * (total + y**-n / n)
+    if (value == math.inf).any():
+        # |psi^(n)| decreases in x, so the smallest x overflows first
+        raise _overflow(f"psi^({n})", np.min(x))
+    return value if n % 2 == 1 else -value
+
+
 def polygamma(n: int, x: float | np.ndarray) -> float | np.ndarray:
     """psi^(n)(x) for 1 <= n <= MAX_ORDER, x > 0.  Sign is (-1)^(n+1)."""
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"polygamma order must be in 1..{MAX_ORDER}, got {n}")
-    if type(x) is not float and isinstance(x, np.ndarray):
-        x = _positive_array(x)
-        total, y = _euler_maclaurin_array(n + 1, x)
-        with np.errstate(over="ignore"):
-            value = math.factorial(n) * (total + y**-n / n)
-        overflow = (value == math.inf).any()
-    else:
-        _require_positive(x)
-        try:
-            total, y = _euler_maclaurin(n + 1, x)
-        except OverflowError:
-            raise _overflow(f"psi^({n})", x) from None
-        value = math.factorial(n) * (total + y**-n / n)
-        overflow = value == math.inf
-    if overflow:
-        # |psi^(n)| decreases in x, so the smallest x overflows first
-        raise _overflow(f"psi^({n})", x if type(x) is float else np.min(x))
+    if type(x) is not float:
+        if isinstance(x, np.ndarray):
+            return _column(_polygamma_array, n, _positive_array(x))
+        x = float(x)
+    _require_positive(x)
+    try:
+        total, y = _euler_maclaurin(n + 1, x)
+    except OverflowError:
+        raise _overflow(f"psi^({n})", x) from None
+    value = math.factorial(n) * (total + y**-n / n)
+    if value == math.inf:
+        raise _overflow(f"psi^({n})", x)
     return value if n % 2 == 1 else -value
 
 
@@ -285,6 +340,7 @@ def check_polygamma_bounds(n: int, x: float) -> bool:
     The bounds take reciprocal powers x^(-n), which underflow to 0 at large
     x where x^n would overflow; where x^(-n-1) overflows, so does psi^(n).
     """
+    x = float(x)
     value = polygamma(n, x)
     if n % 2 == 0:
         value = -value
@@ -309,6 +365,7 @@ def psi2_theta(x: float) -> float:
     within 3e-11, the error peaking just below 12, where that sum cancels,
     and within 3e-14 from 12 on.
     """
+    x = float(x)
     _require_positive(x)
     if x >= 12.0:
         inv2, v = 1.0 / (x * x), 0.0

@@ -5,12 +5,14 @@ import json
 import math
 import pathlib
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gammapower import certify
+from gammapower import certify, specfun
 from gammapower import critical
 from gammapower import families as fam
 from gammapower.critical import threshold_g3_increasing
@@ -492,3 +494,21 @@ def test_catalog_evaluates_whole_grids(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     assert len(run_claims("all")) == 52
     assert 0 < len(calls) < 2000, collections.Counter(calls)
+
+
+def test_catalog_in_threads_matches_serial():
+    # four threads share specfun's column table, each opening it in its own
+    # context, and switch every 10 us: each run prints the serial JSON
+    serial = [r.to_json() for r in run_claims("all")]
+    specfun._table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(lambda: [r.to_json() for r in run_claims("all")])
+                    for _ in range(4)]
+            got = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [serial] * 4
+    assert specfun._table.cache_info().hits > 0

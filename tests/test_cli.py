@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammapower
-from gammapower import certify, critical
+from gammapower import certify, critical, specfun
 from gammapower.certify import claim_ids
 from gammapower.cli import FN_CATALOG, main
 from gammapower.specfun import EULER_GAMMA, digamma
@@ -372,11 +372,30 @@ class TestVerify:
         args = ["verify", "--claim", "all", "--format", "json", "--seed", "7"]
         run(capsys, *args)
         misses = certify._build_samples.cache_info().misses
+        columns = specfun._table.cache_info().misses
         warm = [run(capsys, *args) for _ in range(2)]
         assert certify._build_samples.cache_info().misses == misses
+        # nor does the warm run compute a column of specfun's table again
+        assert specfun._table.cache_info().misses == columns
         proc = fresh("-m", "gammapower.cli", *args)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert warm == [(proc.returncode, proc.stdout, proc.stderr)] * 2
+
+    def test_column_table_is_used_only_inside_a_check(self, capsys):
+        # certify._check opens specfun's column table around one claim's
+        # evaluation and closes it after: eval ranges of every catalog entry and
+        # solves of every kind, run after a check, neither read nor fill it
+        assert run(capsys, "verify", "--claim", "ineq2")[0] == 0
+        specfun._table.cache_clear()
+        for fn in sorted(FN_CATALOG):
+            for a in ("1", "1.5"):
+                code, _, err = run(capsys, "eval", "--fn", fn, "--a", a, "--c", "0.5", "--n", "3",
+                                   "--x-min", "0.01", "--x-max", "4", "--points", "25")
+                assert code == 0, err
+        for kind, a in (("x0", "-0.5"), ("x1x2", "0.5"), ("x3", "1.5"), ("x4", "1.5"),
+                        ("t4tilde", "1.5"), ("threshold-g2", "1.5"), ("threshold-g3", "1.5")):
+            assert run(capsys, "solve", "--kind", kind, "--a", a)[0] == 0
+        assert specfun._table.cache_info()[:2] == (0, 0)  # hits, misses
 
 
 class TestSweepAndConstants:

@@ -4,7 +4,8 @@ module's `__all__`; every name a submodule imports is used, so no import outlive
 last use; every private module-level helper is referenced, so no helper outlives its
 last caller; only families divides a log_gamma call, so log Gamma(x+a)/x has one owner;
 only specfun calls both digamma and polygamma in one function, so psi's orders have
-one; and every _near_zero call sits behind its a in (1.0, 2.0) gate."""
+one; every _near_zero call sits behind its a in (1.0, 2.0) gate; and specfun's column
+table is opened only by certify._check, which closes it in a finally."""
 
 import ast
 import collections
@@ -156,3 +157,33 @@ def test_near_zero_is_called_behind_its_gate():
         gated |= {n for branch in branches for n in ast.walk(branch)}
     assert calls
     assert sorted(n.lineno for n in calls - gated) == []
+
+
+def _uses_of_table(node: ast.AST, method: str | None = None) -> list:
+    """The references to specfun._TABLE_OPEN under node, or its calls of `method`."""
+    refs = [n for n in ast.walk(node) if "_TABLE_OPEN" in (getattr(n, "id", None),
+                                                            getattr(n, "attr", None))]
+    if method is None:
+        return refs
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == method
+            and n.func.value in refs]
+
+
+def test_column_table_is_opened_only_by_check():
+    # specfun's column table is open only while certify._check evaluates one
+    # claim: _check alone sets its ContextVar, just before the try whose finally
+    # resets it with that token, and outside specfun nothing else touches it
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(gammapower.__file__).parent.glob("*.py"))}
+    assert [stem for stem, tree in trees.items() if _uses_of_table(tree, "set")] == ["certify"]
+    check = next(n for n in trees["certify"].body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_check")
+    [opened] = [i for i, stmt in enumerate(check.body) if _uses_of_table(stmt, "set")]
+    token, guarded = check.body[opened], check.body[opened + 1]
+    assert isinstance(token, ast.Assign) and isinstance(guarded, ast.Try)
+    [reset] = [n for stmt in guarded.finalbody for n in _uses_of_table(stmt, "reset")]
+    assert [ast.unparse(n) for n in reset.args] == [ast.unparse(n) for n in token.targets]
+    # certify refers to it in that set and that reset only; no other module at all
+    outside = {stem: len(_uses_of_table(tree)) for stem, tree in trees.items() if stem != "specfun"}
+    assert outside == {stem: 2 if stem == "certify" else 0 for stem in outside}

@@ -359,6 +359,45 @@ def test_total_on_any_float(name, a, x):
         assert outcomes == [DomainError, DomainError]
 
 
+def _as_float_call(fn, a, x):
+    """fn(a, x) with its type and value as hex digits, or the type and text it raised."""
+    try:
+        v = fn(a, x)
+    except (DomainError, OverflowError) as e:
+        return type(e), str(e)
+    return type(v), v.hex()
+
+
+@pytest.mark.parametrize("x", [np.float32(0.3), np.float64(0.7), np.int64(3), 2, True,
+                               np.float64(1e-320), np.float32(-0.5), np.float64(-np.inf)],
+                         ids=repr)
+@pytest.mark.parametrize("a", [1.0, 1.5])
+@pytest.mark.parametrize("name", _ARRAY_FNS)
+def test_numpy_scalar_is_the_float_call(name, a, x):
+    # a number that is neither a float nor an ndarray is computed as float(x):
+    # in double precision, as a float, or raising the float call's error
+    fn = _ARRAY_FNS[name]
+    assert _as_float_call(fn, a, x) == _as_float_call(fn, a, float(x))
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5])
+@pytest.mark.parametrize("name", _ARRAY_FNS)
+def test_zero_dimensional_array_gives_zero_dimensional_array(name, a):
+    # a 0-d x takes the array path, as a one-entry array does
+    fn = _ARRAY_FNS[name]
+    try:
+        want = fn(a, np.array([0.7]))[0].item().hex()
+    except OverflowError as e:
+        want = str(e)
+    try:
+        got = fn(a, np.array(0.7))
+    except OverflowError as e:
+        assert str(e) == want
+    else:
+        assert type(got) is np.ndarray and got.shape == ()
+        assert got.item().hex() == want
+
+
 class TestAuxiliaryValues:
     def test_h1_zero(self):
         assert h1(1.0, 0.0) == pytest.approx(0.0, abs=1e-13)

@@ -323,3 +323,110 @@ def test_psi_orders_at_the_switch_and_edges(x):
 @settings(max_examples=500, deadline=None)
 def test_psi_orders_match_per_order_calls_hypothesis(x):
     _check_psi_orders(x)
+
+
+# Every public function of specfun as f(x), at orders 1 and 4 where it takes one.
+_PUBLIC = {
+    "log_gamma": log_gamma, "digamma": digamma,
+    "polygamma.1": lambda x: polygamma(1, x), "polygamma.4": lambda x: polygamma(4, x),
+    "check_polygamma_bounds.2": lambda x: check_polygamma_bounds(2, x),
+    "psi2_theta": psi2_theta,
+}
+
+
+def _as_float_call(fn, x):
+    """fn(x) with its type and a float as its hex digits, or the type and text it raised."""
+    try:
+        v = fn(x)
+    except (DomainError, OverflowError) as e:
+        return type(e), str(e)
+    return type(v), v.hex() if type(v) is float else v
+
+
+@pytest.mark.parametrize("x", [np.float32(0.3), np.float64(0.7), np.int64(3), 2, True,
+                               np.float64(1e-320), np.float32(-1.5), np.float64(np.inf)],
+                         ids=repr)
+@pytest.mark.parametrize("name", _PUBLIC)
+def test_numpy_scalar_is_the_float_call(name, x):
+    # a number that is neither a float nor an ndarray is computed as float(x):
+    # in double precision, as a float, or raising the float call's error
+    fn = _PUBLIC[name]
+    assert _as_float_call(fn, x) == _as_float_call(fn, float(x))
+
+
+@pytest.mark.parametrize("name", ["log_gamma", "digamma", "polygamma.1", "polygamma.4"])
+def test_zero_dimensional_array_gives_zero_dimensional_array(name):
+    fn = _PUBLIC[name]
+    got = fn(np.array(0.7))
+    assert type(got) is np.ndarray and got.shape == ()
+    assert got.item() == fn(np.array([0.7]))[0]
+
+
+@pytest.fixture
+def table():
+    """The column table, emptied and open in this test's context, as certify._check opens it."""
+    specfun._table.cache_clear()
+    opened = specfun._TABLE_OPEN.set(True)
+    try:
+        yield specfun._table
+    finally:
+        specfun._TABLE_OPEN.reset(opened)
+        specfun._table.cache_clear()
+
+
+class TestColumnTable:
+    """While the table is open an array result is read from it, as computed."""
+
+    X = np.geomspace(1e-2, 50.0, 12)
+
+    def test_returns_a_fresh_writeable_copy(self, table):
+        first = digamma(self.X)
+        assert first.flags.writeable
+        first[:] = 0.0
+        again = digamma(self.X)
+        assert table.cache_info()[:2] == (1, 1)  # hits, misses
+        assert not np.shares_memory(first, again)
+        specfun._TABLE_OPEN.set(False)
+        assert again.tolist() == digamma(self.X).tolist() != [0.0] * 12
+
+    def test_same_bytes_do_not_collide(self, table):
+        # one set of bytes under another shape, function, order, and (for the
+        # window series of families) another a or derivative order
+        from gammapower.families import h2, h3, log_g2
+        window = np.linspace(0.01, 0.2, 12)
+        calls = [lambda: log_gamma(self.X), lambda: digamma(self.X),
+                 lambda: polygamma(1, self.X), lambda: polygamma(2, self.X),
+                 lambda: digamma(self.X.reshape(3, 4)), lambda: digamma(self.X.reshape(4, 3).T),
+                 lambda: log_gamma(np.array(self.X[0])),
+                 lambda: log_g2(1.0, 0.0, window), lambda: log_g2(2.0, 0.0, window),
+                 lambda: h2(1.0, window), lambda: h3(1.0, window)]
+        specfun._TABLE_OPEN.set(False)
+        want = [call() for call in calls]
+        specfun._TABLE_OPEN.set(True)
+        misses = []
+        for _ in range(2):
+            got = [call() for call in calls]
+            assert [(v.shape, v.tolist()) for v in got] == [(v.shape, v.tolist()) for v in want]
+            misses.append(table.cache_info().misses)
+        assert misses[0] == misses[1]
+
+    @pytest.mark.parametrize("fn, x", [
+        (digamma, [1.0, -1.0]), (log_gamma, [1.0, math.nan]), (lambda x: polygamma(3, x), [0.0]),
+        (digamma, [1.0, 5e-324]), (log_gamma, [1.0, 1.7e308]), (lambda x: polygamma(63, x), [1e-4]),
+    ], ids=["digamma-domain", "log_gamma-domain", "polygamma-domain",
+            "digamma-overflow", "log_gamma-overflow", "polygamma-overflow"])
+    def test_an_error_is_raised_again_and_not_stored(self, table, fn, x):
+        texts = []
+        for _ in range(3):
+            with pytest.raises((DomainError, OverflowError)) as raised:
+                fn(np.array(x))
+            texts.append((raised.type, str(raised.value)))
+        assert texts == texts[:1] * 3
+        assert table.cache_info().currsize == 0
+
+    def test_holds_at_most_its_bound(self, table):
+        for k in range(specfun._TABLE_SIZE + 5):
+            log_gamma(np.array([1.0 + k]))
+        info = table.cache_info()
+        assert info.misses == specfun._TABLE_SIZE + 5
+        assert info.currsize == info.maxsize == specfun._TABLE_SIZE
