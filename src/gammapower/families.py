@@ -29,8 +29,9 @@ specfun (:func:`specfun._psi_orders`), bit for bit the per-order calls.
 All evaluations go through log space.  Derivative and series orders n run
 over 1..MAX_ORDER.  Every public function takes a float x, giving a float,
 or an ndarray of x, giving an ndarray of its shape (0-d included), from one
-body: only the private helpers test whether x is an ndarray.  Any other x, a
-NumPy scalar or an int, is taken as float(x).
+body; any other x, a NumPy scalar or an int, is taken as float(x).  Only
+:func:`_total` flattens x and restores its shape: each helper gets a float or
+a flat float64 row, and certify hands _lg_over and _margin_orders 1-d samples.
 
 Every public function is total: a non-finite a or x, or an x outside the
 domain, raises DomainError, and a value that is not finite OverflowError.
@@ -108,10 +109,9 @@ class Params:
 def _total(fn):
     """fn(..., x), where a value that is not finite raises OverflowError.
 
-    Any x but an ndarray is taken as float(x), and gives a float.  An ndarray
-    is taken as float64 and computed flat under np.errstate, so that an
-    overflow reaches this check and not stderr; its value takes x's shape, 0-d
-    included.  For a float x, a division by an underflowed 0 or a math
+    Any x but an ndarray is taken as float(x).  An ndarray is computed as a
+    flat float64 row under np.errstate, so that an overflow reaches this check
+    and not stderr.  For a float x, a division by an underflowed 0 or a math
     overflow is inf.  Either way the error names the first entry of x that
     fails as the float path does.
     """
@@ -195,16 +195,16 @@ def _near_zero(k: int, value, fn, a: float, x):
     """A reader of L at a in {1, 2} (the caller checked a and x) from L's series, or None.
 
     value(t, d) gives the reader from t, the x in the window |x| <= _SERIES_RADIUS, and
-    d = L^(k)(t); None means no x lies there.  Other ndarray entries take fn(a, .)."""
-    scalar = type(x) is float or not isinstance(x, np.ndarray)
+    d = L^(k)(t); None means no x lies there.  Other row entries, if any, take fn(a, .)."""
     rows = abs(x) <= _SERIES_RADIUS
-    if not (rows if scalar else rows.any()):
+    if type(x) is float or not isinstance(x, np.ndarray):
+        return value(x, _horner(a, k, x)) if rows else None
+    if not rows.any():
         return None
-    if scalar:
-        return value(x, _horner(a, k, x))
-    t = x[rows]
-    v = np.empty(x.shape)
-    v[rows], v[~rows] = value(t, _column(_horner, a, k, t)), fn(a, x[~rows])
+    v, t = np.empty(x.shape), x[rows]
+    v[rows] = value(t, _column(_horner, a, k, t))
+    if not rows.all():
+        v[~rows] = fn(a, x[~rows])
     return v
 
 
@@ -217,7 +217,7 @@ def _horner(a: float, k: int, t):
 
 
 def _lg_over(a: float, x):
-    """L(x) = log Gamma(x+a)/x for a float or an ndarray; the caller checks the domain."""
+    """L(x) = log Gamma(x+a)/x for a float or a row; the caller checks the domain."""
     v = _near_zero(0, lambda t, d: d, _lg_over, a, x) if a in (1.0, 2.0) else None
     return log_gamma(x + a) / x if v is None else v
 
@@ -434,7 +434,7 @@ def _tail_sum(n: int, r, rn, p, q, far):
 
 
 def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
-    """[delta_1(x), ..., delta_n(x)] for x (a float or a 1-d ndarray) on one side.
+    """[delta_1(x), ..., delta_n(x)] for x (a float or a row) on one side.
 
     Direct rows: delta_1 = -log Gamma(x+a) + x psi(x+a), delta_k = delta_(k-1)
     - S_k; tail rows: delta_n = -log Gamma(a) + sum_{k>n} S_k, delta_(k-1) =
@@ -476,18 +476,18 @@ def _delta_side(a: float, n: int, x, tail: bool, scaled: bool = False) -> list:
 def _deltas(a: float, n: int, x, scaled: bool = False):
     """delta_1(x)..delta_n(x) (/ x^(k+1) on `scaled` tail rows) by :func:`_delta_side`.
 
-    A list for a float; for an ndarray, shape (n,) + x.shape, in blocks of 4096
-    rows.  The caller checks the domain, runs an ndarray under np.errstate and
-    checks that its values are finite.
+    A list for a float; for a row, shape (n, x.size), in blocks of 4096 entries.
+    The caller checks the domain, runs a row under np.errstate and checks that
+    its values are finite.
     """
     tail = _tail_rows(a, x)
     if type(x) is float or not isinstance(x, np.ndarray):
         return _delta_side(a, n, x, tail, scaled and tail)
-    flat, out = x.ravel(), np.empty((n, x.size))
+    out = np.empty((n, x.size))
     for side, rows in ((True, np.flatnonzero(tail)), (False, np.flatnonzero(~tail))):
         for i in (rows[k:k + 4096] for k in range(0, rows.size, 4096)):
-            out[:, i] = np.reshape(_delta_side(a, n, flat[i], side, scaled and side), (n, -1))
-    return out.reshape((n,) + x.shape)
+            out[:, i] = _delta_side(a, n, x[i], side, scaled and side)
+    return out
 
 
 @_total
@@ -529,15 +529,15 @@ def _signed_ldexp(v: float, e: int) -> float:
 
 
 def _margin_orders(a: float, x, max_order: int, name: str) -> list:
-    """[n! delta_n(x)/x^(n+1) for n = 1..max_order], each a float or an ndarray like x.
+    """[n! delta_n(x)/x^(n+1) for n = 1..max_order], each a float or a row like x.
 
     One :func:`_deltas` pass, with x = m 2^e (1 <= |m| < 2), times the running
     product of k/m (below n!), 1/m and an exact 2^(-(n+1) e): finite wherever
     the value is.  At a in {1, 2} tail rows, x = 0 among them, come scaled
     and take n! alone; x = 0 gives n! zeta(n+1, a)/(n+1) = -(-1)^n
     psi^(n)(a)/(n+1).  Past the double range a value is inf with its sign
-    (or nan): the caller runs an ndarray under np.errstate and checks that
-    its values are finite.
+    (or nan): the caller runs a row under np.errstate and checks that its
+    values are finite.
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise DomainError(f"{name} requires 1 <= n <= {MAX_ORDER}, got {max_order}")

@@ -4,8 +4,9 @@ module's `__all__`; every name a submodule imports is used, so no import outlive
 last use; every private module-level helper is referenced, so no helper outlives its
 last caller; only families divides a log_gamma call, so log Gamma(x+a)/x has one owner;
 only specfun calls both digamma and polygamma in one function, so psi's orders have
-one; every _near_zero call sits behind its a in (1.0, 2.0) gate; and specfun's column
-table is opened only by certify._check, which closes it in a finally."""
+one; every _near_zero call sits behind its a in (1.0, 2.0) gate; only families._total
+flattens x or restores a caller's shape; and specfun's column table is opened only by
+certify._check, which closes it in a finally."""
 
 import ast
 import collections
@@ -157,6 +158,25 @@ def test_near_zero_is_called_behind_its_gate():
         gated |= {n for branch in branches for n in ast.walk(branch)}
     assert calls
     assert sorted(n.lineno for n in calls - gated) == []
+
+
+def _flattens_or_reshapes(node: ast.AST) -> bool:
+    """node is a .ravel() call, or a reshape whose arguments name a .shape."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    return node.func.attr == "ravel" or node.func.attr == "reshape" and any(
+        ".shape" in ast.unparse(arg) for arg in node.args)
+
+
+def test_only_total_flattens_x():
+    # past families._total every helper gets a float or a flat float64 row:
+    # _total alone ravels x and gives a value x's shape, so no other function
+    # keeps a round trip that no caller reaches
+    tree = ast.parse((pathlib.Path(gammapower.__file__).parent / "families.py").read_text())
+    total = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_total")
+    inside = set(ast.walk(total))
+    assert sum(map(_flattens_or_reshapes, inside)) == 2
+    assert [n.lineno for n in ast.walk(tree) if n not in inside and _flattens_or_reshapes(n)] == []
 
 
 def _uses_of_table(node: ast.AST, method: str | None = None) -> list:

@@ -184,6 +184,39 @@ def test_l_based_values_at_tiny_x():
         assert h4(1.0, x) == h4(1.0, np.array([x]))[0] == pytest.approx(PI**2 / 12.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_window_row_runs_no_direct_form_on_an_empty_rest(monkeypatch, a):
+    # a row that lies wholly in the window takes the series alone: the window
+    # re-enters L and h1-h4 through these module names for the entries outside
+    # it, so none of them may see an empty array
+    seen = []
+
+    def recording(fn):
+        return lambda *args: seen.append(np.size(args[-1])) or fn(*args)
+
+    for name in ("_lg_over", "h1", "h2", "h3", "h4"):
+        monkeypatch.setattr(families, name, recording(getattr(families, name)))
+    readers = {
+        "_lg_over": lambda x: families._lg_over(a, x),
+        "f": lambda x: families.f_family(Params(a), x),
+        "g": lambda x: families.g_family(Params(a, -0.8, Sign.MINUS), x),
+        "log_g1": lambda x: families.log_g1(a, x), "g1": lambda x: families.g1(a, x),
+        "h1": lambda x: families.h1(a, x),
+        "log_g2": lambda x: families.log_g2(a, 0.4, x), "g2": lambda x: families.g2(a, 0.4, x),
+        "log_g3": lambda x: families.log_g3(a, -0.6, x), "g3": lambda x: families.g3(a, -0.6, x),
+        "f c>0": lambda x: families.f_family(Params(a, 1.2), x),
+        "h2": lambda x: families.h2(a, x), "h3": lambda x: families.h3(a, x),
+        "h4": lambda x: families.h4(a, x),
+        "x_logderiv_g3": lambda x: families.x_logderiv_g3(a, 0.7, x),
+    }
+    both_sides = np.linspace(-0.2, 0.2, 9)
+    for name, fn in readers.items():
+        fn(np.linspace(0.01, 0.2, 12))
+        if name in ("_lg_over", "f", "g", "log_g1", "g1", "h1"):  # defined left of 0
+            fn(both_sides if name not in ("f", "g") else both_sides[both_sides != 0.0])
+    assert seen and 0 not in seen
+
+
 # Every public function as f(a, x): for an ndarray x it gives the ndarray of
 # its float values.  delta_n and log_g1_deriv enter at each order 1..6 and at
 # the high orders 30, 120 and 170.
