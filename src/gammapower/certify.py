@@ -12,10 +12,11 @@ verdict; it alone computes them with numpy's floating-point errors off.  The
 public checks are certify_monotone, _lcm, _logconvex, _inequality and
 _range, and the `segments` and `expect_violation` combinators.  Samples are
 built once per process per definition, and while `_check` runs, specfun's
-column table keeps log Gamma, psi, psi^(n) and the near-zero series on the
-last 128 arrays computed.  A process that certifies many claims reuses both
-across rows and calls; a one-shot process builds each sample once, and
-reuses a column only within its one run.
+column table keeps log Gamma, psi, psi^(n), the near-zero series and the
+LCM margin blocks on the last 128 arrays computed.  A process that
+certifies many claims reuses both across rows and calls; a one-shot process
+builds each sample once, and reuses a column only within its one run (no
+LCM sample repeats there, so it computes every margin).
 The module also houses the parameter-region taxonomy D1..D11 and the
 catalog of named claims driven by the command line (`verify --claim ...`).
 """
@@ -349,10 +350,11 @@ def certify_lcm(a: float, max_order: int, plan: SamplePlan,
                 claim_id: str | None = None) -> ClaimReport:
     """Certify (-1)^n (log g1)^(n) > 0 for n = 1..max_order on the plan.
 
-    The x = 0 endpoint is included for a in {1, 2} when the interval
-    contains it, using the closed-form derivative values there.  Every
-    order at every point comes from one array pass; witnesses are listed by
-    point, then order, with where = (x, n).
+    For a in {1, 2}, x = 0 is appended to the samples when lo < 0 < hi, using
+    the closed-form derivative values there; an interval that only ends at 0,
+    (0, 30) or (-0.5, 0), appends nothing.  Every order at every point comes
+    from one array pass, a column of specfun's table; witnesses are listed
+    by point, then order, with where = (x, n).
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must lie in 1..{MAX_ORDER}, got {max_order}")
@@ -364,7 +366,7 @@ def certify_lcm(a: float, max_order: int, plan: SamplePlan,
             x = np.append(x, 0.0)
         orders = np.arange(1.0, max_order + 1)
         where = np.column_stack([np.repeat(x, max_order), np.tile(orders, x.size)])
-        margins = np.stack(fam._margin_orders(a, x, max_order, "LCM margins"), axis=-1)
+        margins = fam._margin_orders(a, x, max_order, "LCM margins").T
         return [(where, margins, "(-1)^n (log g1)^(n) > 0")]
 
     return _check(claim_id or f"lcm.a={_label(a)}", fam.Params(a=a), plan, blocks)

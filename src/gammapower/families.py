@@ -528,30 +528,44 @@ def _signed_ldexp(v: float, e: int) -> float:
         return math.copysign(math.inf, v)
 
 
-def _margin_orders(a: float, x, max_order: int, name: str) -> list:
-    """[n! delta_n(x)/x^(n+1) for n = 1..max_order], each a float or a row like x.
+def _margin_orders(a: float, x, max_order: int, name: str):
+    """[n! delta_n(x)/x^(n+1) for n = 1..max_order], a list at a float x.
 
-    One :func:`_deltas` pass, with x = m 2^e (1 <= |m| < 2), times the running
-    product of k/m (below n!), 1/m and an exact 2^(-(n+1) e): finite wherever
-    the value is.  At a in {1, 2} tail rows, x = 0 among them, come scaled
-    and take n! alone; x = 0 gives n! zeta(n+1, a)/(n+1) = -(-1)^n
-    psi^(n)(a)/(n+1).  Past the double range a value is inf with its sign
-    (or nan): the caller runs a row under np.errstate and checks that its
-    values are finite.
+    These are the LCM margins (-1)^n (log g1)^(n) that certify_lcm checks.
+    A row x gives them as one (max_order, x.size) block, a column of
+    specfun's table keyed by (a, max_order) and the row's bytes: while
+    certify._check has the table open, a row seen before gives a copy of
+    its block, and :func:`_margins` runs only on a miss.
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise DomainError(f"{name} requires 1 <= n <= {MAX_ORDER}, got {max_order}")
     _require(name, a, x, -a, zero=a in (1.0, 2.0))
+    if type(x) is float or not isinstance(x, np.ndarray):
+        return _margins(a, max_order, x)
+    return _column(_margins, a, max_order, x)
+
+
+def _margins(a: float, max_order: int, x):
+    """:func:`_margin_orders` at a checked float or row x.
+
+    One :func:`_deltas` pass, with x = m 2^e (1 <= |m| < 2), times the running
+    product of k/m (below n!), 1/m and an exact 2^(-(n+1) e): finite wherever
+    the value is.  Each order overwrites its delta in place.  At a in {1, 2}
+    tail rows, x = 0 among them, come scaled and take n! alone; x = 0 gives
+    n! zeta(n+1, a)/(n+1) = -(-1)^n psi^(n)(a)/(n+1).  Past the double range
+    a value is inf with its sign (or nan): the caller runs a row under
+    np.errstate and checks that its values are finite.
+    """
     lib = math if type(x) is float or not isinstance(x, np.ndarray) else np
     ldexp = _signed_ldexp if lib is math else np.ldexp
     frac, exp2 = lib.frexp(x)
     m, shift, scaled = 2.0 * frac, 1 - exp2, a in (1.0, 2.0)
     keep = 1 - (scaled & _tail_rows(a, x))  # scaled rows come as delta_n / x^(n+1)
     m, shift = m**keep, shift * keep  # m = 1 and no shift there
-    scale, margins = 1.0, []
-    for k, d in enumerate(_deltas(a, max_order, x, scaled), 1):
+    scale, margins = 1.0, _deltas(a, max_order, x, scaled)
+    for k, d in enumerate(margins, 1):
         scale = scale * (k / m)
-        margins.append(ldexp(scale / m * d, (k + 1) * shift))
+        margins[k - 1] = ldexp(scale / m * d, (k + 1) * shift)
     return margins
 
 

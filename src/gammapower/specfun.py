@@ -25,14 +25,16 @@ or an int, is taken as float(x), so it is computed in double precision and
 gives a float.
 
 While certify evaluates a claim, the array results come from the column
-table: a memo of the last _TABLE_SIZE results of the three array paths and
-of families' near-zero series, keyed by the function, its scalar arguments
-and the bytes of x.  The claims of the catalog read log Gamma, psi and
-psi^(n) at x + a on the same sample arrays again and again.  The table is
-bounded, thread-safe (one functools.lru_cache) and opened only by
-certify._check, for the duration of one claim in that thread; each caller
-gets its own copy of a value, bit for bit the one computed.  Everywhere else
-the array paths compute every call.
+table: a memo of the last _TABLE_SIZE results of the three array paths, of
+families' near-zero series and of its LCM margin blocks (every order at
+every point of a row), keyed by the function, its scalar arguments and the
+bytes of x.  The claims of the catalog read log Gamma, psi and psi^(n) at
+x + a on the same sample arrays again and again, and a process that runs
+a claim again reads its LCM margins back.  The table is bounded, thread-safe
+(one functools.lru_cache) and opened only by certify._check, for the
+duration of one claim in that thread; each caller gets its own copy of a
+value, bit for bit the one computed.  Everywhere else the array paths
+compute every call.
 
 numpy is imported on first use, through the module-level `np` that
 families, certify and cli share: a float path never touches it, so scalar
@@ -235,7 +237,9 @@ def _euler_maclaurin_array(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 # The column table (module docstring), read and filled only while _TABLE_OPEN is
 # true in the running context: certify._check alone sets it.  One run_claims("all")
-# reads 65 distinct columns, and a perfbench catalog round (four seeds) 93.
+# makes 148 calls on 72 distinct columns, and a perfbench catalog round (four seeds)
+# fills 100 entries.  The bound counts entries, not bytes: an order-170 LCM margin
+# block on 768 points is about 1 MB, so the table holds about 128 MB at most.
 _TABLE_OPEN = contextvars.ContextVar("_TABLE_OPEN", default=False)
 _TABLE_SIZE = 128
 
@@ -247,17 +251,18 @@ def _table(fn, args: tuple, data: bytes) -> np.ndarray:
 
 
 def _column(fn, *args) -> np.ndarray:
-    """fn(*args[:-1], x.ravel()), reshaped to x = args[-1]: a fresh ndarray of x's shape.
+    """fn(*args[:-1], x.ravel()), its last axis reshaped to x = args[-1]: a fresh ndarray.
 
-    x is a validated float64 ndarray and fn maps a flat x to the flat array of
-    its values.  While the column table is open the value comes from it.
+    x is a validated float64 ndarray and fn maps a flat x to an array whose
+    last axis runs over it: the flat array of its values, or a block of rows
+    of them.  While the column table is open the value comes from it.
     """
     x = args[-1]
     if _TABLE_OPEN.get():
         v = _table(fn, args[:-1], x.tobytes()).copy()
     else:
         v = fn(*args[:-1], x.ravel())
-    return v.reshape(x.shape)
+    return v.reshape(v.shape[:-1] + x.shape)
 
 
 def _log_gamma_array(x: np.ndarray) -> np.ndarray:

@@ -512,3 +512,51 @@ def test_catalog_in_threads_matches_serial():
         sys.setswitchinterval(interval)
     assert got == [serial] * 4
     assert specfun._table.cache_info().hits > 0
+
+
+def test_warm_lcm_rows_recompute_nothing(monkeypatch):
+    # the LCM margin blocks are columns of specfun's table: a second run of the
+    # Theorem 1.2 rows copies every block, so it misses nothing and never
+    # reaches families._deltas
+    def lcm_json():
+        return [r.to_json() for cid in ("thm1.2.lcm", "thm1.2.lcm.onlyif")
+                for r in run_claims(cid)]
+
+    specfun._table.cache_clear()
+    first = lcm_json()
+    misses = specfun._table.cache_info().misses
+    calls, deltas = [], fam._deltas
+    monkeypatch.setattr(fam, "_deltas", lambda *args: calls.append(args) or deltas(*args))
+    assert lcm_json() == first
+    assert specfun._table.cache_info().misses == misses
+    assert calls == []
+
+
+def test_cleared_table_never_hides_a_fault(monkeypatch):
+    # a warm table keeps the margins computed before a fault was patched in;
+    # once cleared, the fault shows.  The catalog's thm1.2.lcm rows find their
+    # smallest margin at x = 30, a direct row, so this plan keeps every x a
+    # tail row of a = 1 (x <= 7/3), where _tail_sum gives the margins
+    plan = SamplePlan(interval=(1e-2, 2.0))
+    clean = certify_lcm(1.0, 6, plan).min_margin
+    tail_sum = fam._tail_sum
+    monkeypatch.setattr(fam, "_tail_sum", lambda *args: tail_sum(*args) * (1.0 + 1e-3))
+    assert certify_lcm(1.0, 6, plan).min_margin == clean
+    specfun._table.cache_clear()
+    assert certify_lcm(1.0, 6, plan).min_margin != clean
+
+
+def test_a_benchmark_round_fits_the_column_table():
+    # perfbench's catalog round runs each base id i at seed (1, 7, 42,
+    # 123456)[i % 4]; its columns fit the table together, so nothing is
+    # evicted and a second round computes no column again
+    plans = [(cid, SamplePlan(seed=(1, 7, 42, 123456)[i % 4]))
+             for i, cid in enumerate(sorted(claim_ids()))]
+    specfun._table.cache_clear()
+    for cid, plan in plans:
+        run_claims(cid, plan)
+    info = specfun._table.cache_info()
+    assert info.misses == info.currsize < specfun._TABLE_SIZE
+    for cid, plan in plans:
+        run_claims(cid, plan)
+    assert specfun._table.cache_info().misses == info.misses

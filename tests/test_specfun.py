@@ -410,6 +410,25 @@ class TestColumnTable:
             misses.append(table.cache_info().misses)
         assert misses[0] == misses[1]
 
+    def test_margin_blocks_do_not_collide(self, table):
+        # families' LCM margin blocks are columns too, keyed by (a, max_order):
+        # on one set of bytes each block, a log_g1_deriv row and digamma are
+        # their own entries.  Every x is a tail row at a = 1 and 1.5, so no
+        # call reads a nested column of x + a.
+        from gammapower.families import _margin_orders
+        x = np.linspace(0.01, 0.3, 12)
+        calls = [*[lambda a=a, n=n: _margin_orders(a, x, n, "LCM margins")
+                   for a in (1.0, 1.5) for n in (6, 7)],
+                 lambda: log_g1_deriv(1.0, 3, x), lambda: digamma(x)]
+        specfun._TABLE_OPEN.set(False)
+        want = [call() for call in calls]
+        specfun._TABLE_OPEN.set(True)
+        for hits in (0, len(calls)):
+            got = [call() for call in calls]
+            assert [(v.shape, v.tolist()) for v in got] == [(v.shape, v.tolist()) for v in want]
+            info = table.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (hits, len(calls), len(calls))
+
     @pytest.mark.parametrize("fn, x", [
         (digamma, [1.0, -1.0]), (log_gamma, [1.0, math.nan]), (lambda x: polygamma(3, x), [0.0]),
         (digamma, [1.0, 5e-324]), (log_gamma, [1.0, 1.7e308]), (lambda x: polygamma(63, x), [1e-4]),
