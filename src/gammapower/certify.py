@@ -12,11 +12,12 @@ verdict; it alone computes them with numpy's floating-point errors off.  The
 public checks are certify_monotone, _lcm, _logconvex, _inequality and
 _range, and the `segments` and `expect_violation` combinators.  Samples are
 built once per process per definition, and while `_check` runs, specfun's
-column table keeps log Gamma, psi, psi^(n), the near-zero series and the
-LCM margin blocks on the last 128 arrays computed.  A process that
-certifies many claims reuses both across rows and calls; a one-shot process
-builds each sample once, and reuses a column only within its one run (no
-LCM sample repeats there, so it computes every margin).
+column table keeps the last 256 arrays computed: log Gamma, psi, psi^(n),
+the family functions and L = log Gamma(x+a)/x, the near-zero series and
+the LCM margin blocks.  A process that certifies many claims reuses both
+across rows and calls, and a claim it runs again enters no family body; a
+one-shot process builds each sample once, and reuses a column only within
+its one run (no LCM sample repeats there, so it computes every margin).
 The module also houses the parameter-region taxonomy D1..D11 and the
 catalog of named claims driven by the command line (`verify --claim ...`).
 """

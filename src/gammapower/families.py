@@ -32,6 +32,10 @@ or an ndarray of x, giving an ndarray of its shape (0-d included), from one
 body; any other x, a NumPy scalar or an int, is taken as float(x).  Only
 :func:`_total` flattens x and restores its shape: each helper gets a float or
 a flat float64 row, and certify hands _lg_over and _margin_orders 1-d samples.
+A row of every public function, of _lg_over, of the near-zero series and of
+the LCM margins is a column of specfun's table (:func:`specfun._column`),
+keyed by the function, its scalar arguments and the row's bytes: while
+certify._check has the table open, a row seen before is read back.
 
 Every public function is total: a non-finite a or x, or an x outside the
 domain, raises DomainError, and a value that is not finite OverflowError.
@@ -111,9 +115,11 @@ def _total(fn):
 
     Any x but an ndarray is taken as float(x).  An ndarray is computed as a
     flat float64 row under np.errstate, so that an overflow reaches this check
-    and not stderr.  For a float x, a division by an underflowed 0 or a math
-    overflow is inf.  Either way the error names the first entry of x that
-    fails as the float path does.
+    and not stderr; that row, checked, is a column of specfun's table keyed by
+    fn and the other arguments (an a or c of -0.0 shares the key of 0.0, and
+    no value here differs between them).  For a float x, a division by an
+    underflowed 0 or a math overflow is inf.  Either way the error names the
+    first entry of x that fails as the float path does.
     """
     @functools.wraps(fn)
     def total(*args):
@@ -133,6 +139,10 @@ def _total(fn):
 
     def total_array(head, x):
         flat = np.asarray(x, dtype=float).ravel()
+        return _column(row, *head, flat).reshape(x.shape)
+
+    def row(*args):
+        *head, flat = args
         try:
             with np.errstate(all="ignore"):
                 v = fn(*head, flat)
@@ -144,7 +154,7 @@ def _total(fn):
         bad = ~np.isfinite(v)
         if bad.any():
             raise _not_finite(fn, float(flat[bad][0]), float(v[bad][0]))
-        return v.reshape(x.shape)
+        return v
     return total
 
 
@@ -217,8 +227,17 @@ def _horner(a: float, k: int, t):
 
 
 def _lg_over(a: float, x):
-    """L(x) = log Gamma(x+a)/x for a float or a row; the caller checks the domain."""
-    v = _near_zero(0, lambda t, d: d, _lg_over, a, x) if a in (1.0, 2.0) else None
+    """L(x) = log Gamma(x+a)/x for a float or a row; the caller checks the domain.
+
+    A row is a column of specfun's table, as a public function's is."""
+    if type(x) is float or not isinstance(x, np.ndarray):
+        return _lg_row(a, x)
+    return _column(_lg_row, a, x)
+
+
+def _lg_row(a: float, x):
+    """:func:`_lg_over` at a float or a row, computed."""
+    v = _near_zero(0, lambda t, d: d, _lg_row, a, x) if a in (1.0, 2.0) else None
     return log_gamma(x + a) / x if v is None else v
 
 

@@ -25,12 +25,13 @@ or an int, is taken as float(x), so it is computed in double precision and
 gives a float.
 
 While certify evaluates a claim, the array results come from the column
-table: a memo of the last _TABLE_SIZE results of the three array paths, of
-families' near-zero series and of its LCM margin blocks (every order at
-every point of a row), keyed by the function, its scalar arguments and the
-bytes of x.  The claims of the catalog read log Gamma, psi and psi^(n) at
-x + a on the same sample arrays again and again, and a process that runs
-a claim again reads its LCM margins back.  The table is bounded, thread-safe
+table: a memo of the last _TABLE_SIZE results of the three array paths and
+of families' rows (every public function's, L = log Gamma(x+a)/x, the
+near-zero series and the LCM margin blocks of every order at every point),
+keyed by the function, its scalar arguments and the bytes of x.  The claims
+of the catalog read the same functions on the same sample arrays again and
+again, and a process that runs a claim again reads its rows back without
+entering a family body.  The table is bounded, thread-safe
 (one functools.lru_cache) and opened only by certify._check, for the
 duration of one claim in that thread; each caller gets its own copy of a
 value, bit for bit the one computed.  Everywhere else the array paths
@@ -237,11 +238,12 @@ def _euler_maclaurin_array(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 # The column table (module docstring), read and filled only while _TABLE_OPEN is
 # true in the running context: certify._check alone sets it.  One run_claims("all")
-# makes 148 calls on 72 distinct columns, and a perfbench catalog round (four seeds)
-# fills 100 entries.  The bound counts entries, not bytes: an order-170 LCM margin
-# block on 768 points is about 1 MB, so the table holds about 128 MB at most.
+# makes 186 calls on 140 distinct columns (a second run makes 76, all hits), and a
+# perfbench catalog round (four seeds) fills 184 entries.  The bound counts entries,
+# not bytes: an order-170 LCM margin block on 768 points is about 1 MB, so the table
+# holds about 256 MB at most.
 _TABLE_OPEN = contextvars.ContextVar("_TABLE_OPEN", default=False)
-_TABLE_SIZE = 128
+_TABLE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_TABLE_SIZE)

@@ -207,3 +207,17 @@ def test_column_table_is_opened_only_by_check():
     # certify refers to it in that set and that reset only; no other module at all
     outside = {stem: len(_uses_of_table(tree)) for stem, tree in trees.items() if stem != "specfun"}
     assert outside == {stem: 2 if stem == "certify" else 0 for stem in outside}
+
+
+def test_only_four_families_functions_call_the_column_table():
+    # a families row reaches specfun's table through _total (every public
+    # function), _lg_over (L, which certify's chains read directly),
+    # _near_zero (the window series) and _margin_orders (the LCM blocks), one
+    # call each: a new helper cannot keep a row out of the table or wrap a
+    # row in a second column
+    tree = ast.parse((pathlib.Path(gammapower.__file__).parent / "families.py").read_text())
+    callers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for n in ast.walk(fn) if isinstance(n, ast.Call) and ast.unparse(n.func) == "_column"]
+    assert sorted(callers) == ["_lg_over", "_margin_orders", "_near_zero", "_total"]
+    uses = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_column"]
+    assert len(uses) == len(callers)

@@ -807,3 +807,97 @@ def test_tail_rows_match_mpmath(a, n):
         for x, w, g, g_array in zip(xs, want, got, got_array):
             assert abs(g - g_array) <= 1e-15 * abs(g), (fn.__name__, x)
             assert float(abs(g - w)) <= 3e-14 * float(abs(w)), (fn.__name__, x)
+
+
+# --- family rows in specfun's column table ------------------------------------
+
+# Every _total-decorated public function, and _lg_over, as f(a, c, x); c is read
+# where the function takes one.
+_COLUMN_FNS = {
+    "f_family": lambda a, c, x: f_family(Params(a, c, Sign.MINUS), x),
+    "g_family": lambda a, c, x: g_family(Params(a, c), x),
+    "g1": lambda a, c, x: g1(a, x), "log_g1": lambda a, c, x: log_g1(a, x),
+    "g2": g2, "g3": g3, "log_g2": log_g2, "log_g3": log_g3, "x_logderiv_g3": x_logderiv_g3,
+    **{fn.__name__: (lambda a, c, x, fn=fn: fn(a, x))
+       for fn in (h1, h2, h3, h4, h21, h31, h41, h41_prime)},
+    "delta_n": lambda a, c, x: delta_n(a, 3, x),
+    "log_g1_deriv": lambda a, c, x: log_g1_deriv(a, 3, x),
+    "_lg_over": lambda a, c, x: families._lg_over(a, x),
+}
+# x in the window of a in {1, 2} and out of it, in three shapes.
+_COLUMN_X = {"1-d": np.array([0.05, 0.2, 0.7, 3.0, 12.0]), "0-d": np.array(0.7),
+             "2-d": np.array([[0.1, 0.6, 2.5], [0.25, 1.0, 30.0]])}
+# a and c = -0.0 share the key of 0.0 and follow it, so they read its rows.
+_COLUMN_ARGS = [(a, c) for a in (1.0, 2.0, 1.5, 0.0, -0.0) for c in (0.6, 0.0, -0.0)]
+
+
+def _row_outcome(call):
+    """call()'s type, dtype, shape and bytes, or the type and text it raised."""
+    try:
+        v = call()
+    except (DomainError, OverflowError) as e:
+        return type(e), str(e)
+    return type(v), v.dtype, v.shape, v.tobytes()
+
+
+def test_column_fns_cover_every_total_function():
+    totals = {name for name in families.__all__ if hasattr(getattr(families, name), "__wrapped__")}
+    assert totals == set(_COLUMN_FNS) - {"_lg_over"}
+
+
+@pytest.mark.parametrize("shape", _COLUMN_X)
+@pytest.mark.parametrize("name", _COLUMN_FNS)
+def test_open_table_gives_the_computed_row(table, name, shape):
+    # with the table open a family row is the value the closed table computes,
+    # bit for bit and in x's shape, at a and c = +-0.0 too; a second pass over
+    # the rows that have a value computes nothing
+    fn, x = _COLUMN_FNS[name], _COLUMN_X[shape]
+    calls = [lambda a=a, c=c: fn(a, c, x) for a, c in _COLUMN_ARGS]
+    specfun._TABLE_OPEN.set(False)
+    want = [_row_outcome(call) for call in calls]
+    specfun._TABLE_OPEN.set(True)
+    assert [_row_outcome(call) for call in calls] == want
+    valued = [call for call, w in zip(calls, want) if len(w) == 4]
+    misses = table.cache_info().misses
+    assert valued and [_row_outcome(call) for call in valued] == [w for w in want if len(w) == 4]
+    assert table.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("call", [
+    lambda: h2(1.5, np.array([0.5, -1.0])),
+    lambda: g2(1.0, 500.0, np.array([1.0, 1e-3])),
+    lambda: h2(1.0, np.array([1.0, 1.7e308])),
+    lambda: x_logderiv_g3(1.5, 0.7, np.array([[2.0], [1.7e308]])),
+], ids=["domain", "not-finite", "per-entry", "nested-per-entry"])
+def test_a_row_error_is_raised_again_and_not_stored(table, call):
+    # the error of a family row, the per-entry re-run that names a failing
+    # entry included, is raised again with the same text and never stored: each
+    # run misses the row again, and its inner columns are stored once
+    seen, misses = [], []
+    for _ in range(3):
+        with pytest.raises((DomainError, OverflowError)) as raised:
+            call()
+        info = table.cache_info()
+        seen.append((raised.type, str(raised.value), info.currsize))
+        misses.append(info.misses)
+    assert seen == seen[:1] * 3
+    assert misses[1] - misses[0] == misses[2] - misses[1] > 0
+
+
+@pytest.mark.parametrize("cid", ["lemma.ranges", "cmp"])
+def test_a_warm_claim_calls_no_family_body(monkeypatch, cid):
+    # every family row of these claims is a column: a second run reads them all
+    # and enters no family body (each checks its domain with _require, and L
+    # is computed by _lg_row)
+    from gammapower.certify import run_claims
+
+    specfun._table.cache_clear()
+    calls = []
+    for name in ("_require", "_lg_row"):
+        monkeypatch.setattr(families, name, lambda *args, _f=getattr(families, name), _n=name,
+                            **kw: calls.append(_n) or _f(*args, **kw))
+    first = [r.to_json() for r in run_claims(cid)]
+    assert calls
+    calls.clear()
+    assert [r.to_json() for r in run_claims(cid)] == first
+    assert calls == []
