@@ -23,8 +23,10 @@ projections to closed form:
 
 h21, h31, h41 and h41' are the shifted-argument numerators whose sign
 changes locate the critical points solved in :mod:`gammapower.critical`.
-At a float these and h3 take psi, psi' and psi'' from one shifted pass of
-specfun (:func:`specfun._psi_orders`), bit for bit the per-order calls.
+These and h3 take psi, psi' and psi'' from one shifted pass of specfun
+(:func:`specfun._psi_orders`), at a float and at a row alike, bit for bit
+the per-order calls.  g1, g2, g3 and x_logderiv_g3 run the body of log_g1,
+log_g2, log_g3 and h2 under their own check, so a row is checked once.
 
 All evaluations go through log space.  Derivative and series orders n run
 over 1..MAX_ORDER.  Every public function takes a float x, giving a float,
@@ -269,10 +271,15 @@ def log_g1(a: float, x):
     return -_lg_over(a, x)
 
 
+# The bodies that g1, g2, g3 and x_logderiv_g3 build on: the composed function's
+# own check covers the row, so they skip a second _total pass.
+_log_g1 = log_g1.__wrapped__
+
+
 @_total
 def g1(a: float, x):
     """g1(x) = 1/(Gamma(x+a))^(1/x); see :func:`log_g1` for the domain."""
-    return _exp(log_g1(a, x))
+    return _exp(_log_g1(a, x))
 
 
 @_total
@@ -282,10 +289,13 @@ def log_g2(a: float, c: float, x):
     return _lg_over(a, x) - c * _log(x)
 
 
+_log_g2 = log_g2.__wrapped__
+
+
 @_total
 def g2(a: float, c: float, x):
     """g2(x) = (Gamma(x+a))^(1/x) / x^c on (0, inf)."""
-    return _exp(log_g2(a, c, x))
+    return _exp(_log_g2(a, c, x))
 
 
 @_total
@@ -295,10 +305,13 @@ def log_g3(a: float, c: float, x):
     return _lg_over(a, x) - c * _log(x + a)
 
 
+_log_g3 = log_g3.__wrapped__
+
+
 @_total
 def g3(a: float, c: float, x):
     """g3(x) = (Gamma(x+a))^(1/x) / (x+a)^c on (0, inf)."""
-    return _exp(log_g3(a, c, x))
+    return _exp(_log_g3(a, c, x))
 
 
 @_total
@@ -316,6 +329,9 @@ def h2(a: float, x):
     _require("h2", a, x, 0.0, a_lo=0.0)
     v = _near_zero(1, lambda t, d: t * d, h2, a, x) if a in (1.0, 2.0) else None
     return digamma(x + a) - log_gamma(x + a) / x if v is None else v
+
+
+_h2 = h2.__wrapped__
 
 
 @_total
@@ -416,8 +432,23 @@ def _far_parts(top: int, z) -> list:
     if type(z) is float or not isinstance(z, np.ndarray):
         powers = [z, 1.0, *accumulate(repeat(inv * inv, 9), operator.mul, initial=inv)]
         return [sum(map(operator.mul, row, powers)) for row in _far_table(top)]
-    powers = np.vstack([z, np.ones_like(z), np.vander(inv * inv, 10, True).T * inv])
-    return np.reshape(_far_table(top), (-1, 12)) @ powers
+    # v^k / z for v = 1/z^2 from v's running products, as np.vander takes them, in
+    # an F-ordered block: the product's last bits depend on that layout
+    powers = np.empty((12, z.size), order="F")
+    powers[0], powers[1], powers[2] = z, 1.0, inv
+    v = power = inv * inv
+    for row in powers[3:]:
+        np.multiply(power, inv, out=row)
+        power = power * v
+    return _far_matrix(top) @ powers
+
+
+@functools.lru_cache(maxsize=512)
+def _far_matrix(top: int) -> np.ndarray:
+    """:func:`_far_table` as a read-only (top - 1, 12) array."""
+    matrix = np.reshape(_far_table(top), (-1, 12))
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _tail_sum(n: int, r, rn, p, q, far):
@@ -594,4 +625,4 @@ def x_logderiv_g3(a: float, c: float, x):
 
     Tends to 0 as x -> 0+ and to 1 - c as x -> inf; h2 checks the domain.
     """
-    return h2(a, x) + a * c / (x + a) - c
+    return _h2(a, x) + a * c / (x + a) - c

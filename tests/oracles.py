@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 EULER_GAMMA = 0.5772156649015328606
 
 _EPS = math.ulp(1.0)
@@ -110,3 +112,23 @@ def central_diff(f: Callable[[float], float], x: float, order: int = 1,
 
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(1.0, abs(want))
+
+
+def euler_maclaurin_masked(s: int, x: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
+    """sum of (x+j)^(-s) over x+j below edge, and each entry's first x+j at or past it.
+
+    The masked pass specfun's array Euler-Maclaurin sum took before its
+    ladder: each pass adds the term of every entry still below the edge.
+    """
+    total, y = np.zeros(x.shape), x.copy()
+    with np.errstate(over="ignore"):
+        while (low := y < edge).any():
+            total[low] += y[low] ** -s
+            y[low] += 1.0
+    return total, y
+
+
+def far_powers_vander(z: np.ndarray) -> np.ndarray:
+    """Rows z, 1, 1/z, 1/z^3, ..., 1/z^19 of an array z, as np.vander and np.vstack lay them out."""
+    inv = 1.0 / z
+    return np.vstack([z, np.ones_like(z), np.vander(inv * inv, 10, True).T * inv])

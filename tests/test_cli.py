@@ -141,6 +141,31 @@ class TestEval:
         assert run(capsys, "eval", *opts, "--x", "0.002") == want
         assert run(capsys, "eval", *opts, "--x-min", "0.002", "--x-max", "1", "--points", "3") == want
 
+    # g1, g2, g3 and xlogderiv_g3 run the body of log_g1, log_g2, log_g3 and h2:
+    # a domain error names the inner function and an overflow the outer one, at
+    # a point and over a range that starts there
+    @pytest.mark.parametrize("opts, error", [
+        (("--fn", "g1", "--a", "1.5", "--x", "0"),
+         "log_g1 requires x in (-1.5, inf) less 0, got x=0.0"),
+        (("--fn", "g1", "--a", "1.5", "--x", "1e-5"), "g1 is not finite at x=1e-05: inf"),
+        (("--fn", "g2", "--a", "-1", "--c", "0.5", "--x", "1"),
+         "g2 requires a in (0.0, inf), got a=-1.0"),
+        (("--fn", "g2", "--a", "1", "--c", "500", "--x", "1e-3"), "g2 is not finite at x=0.001: inf"),
+        (("--fn", "g3", "--a", "1.5", "--c", "0.5", "--x", "0"),
+         "g3 requires x in (0.0, inf), got x=0.0"),
+        (("--fn", "g3", "--a", "1", "--c", "-500", "--x", "4"), "g3 is not finite at x=4.0: inf"),
+        (("--fn", "xlogderiv_g3", "--a", "1.5", "--c", "0.5", "--x", "-1"),
+         "h2 requires x in (0.0, inf), got x=-1.0"),
+        (("--fn", "xlogderiv_g3", "--a", "1.5", "--c", "0.5", "--x", "1e-310"),
+         "x_logderiv_g3 is not finite at x=1e-310: inf"),
+    ], ids=["g1 domain", "g1 overflow", "g2 domain", "g2 overflow", "g3 domain", "g3 overflow",
+            "xlogderiv_g3 domain", "xlogderiv_g3 overflow"])
+    def test_composed_function_errors(self, capsys, opts, error):
+        want = (2, "", f"error: {error}\n")
+        assert run(capsys, "eval", *opts) == want
+        assert run(capsys, "eval", *opts[:-2], "--x-min", opts[-1], "--x-max", "5",
+                   "--points", "3") == want
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "eval", "--fn", "psi", "--x", "1",
                              "--out", str(tmp_path / "missing" / "f"))

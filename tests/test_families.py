@@ -82,6 +82,16 @@ class TestFamilyValues:
             assert g2(a, c, x) == pytest.approx(f_family(Params(a=a, c=c), x), rel=1e-12)
             assert g3(a, c, x) == pytest.approx(g_family(Params(a=a, c=c), x), rel=1e-12)
 
+    def test_projections_match_families_where_the_log_is_minus_inf(self):
+        # log g2 = log Gamma(a + x)/x is -inf at x = 1e-310 for 1 < a < 2, and
+        # log g1 at a = 3: each projection, like its family, is 0 there
+        x = np.array([1e-310, 0.5])
+        for a in (1.25, 1.5):
+            assert g2(a, 0.0, x).tolist() == f_family(Params(a), x).tolist()
+            assert g3(a, 0.0, x).tolist() == g_family(Params(a), x).tolist()
+        assert g1(3.0, x).tolist() == f_family(Params(3.0, sign=Sign.MINUS), x).tolist()
+        assert g1(3.0, 1e-310) == g2(1.5, 0.0, 1e-310) == g3(1.5, 0.0, 1e-310) == 0.0
+
 
 class TestDomainErrors:
     def test_family_domain(self):
@@ -643,6 +653,17 @@ def test_log_g1_deriv_finite_where_x_power_is_not():
         assert float(abs((got - want) / want)) <= 1e-12
 
 
+@pytest.mark.parametrize("size", [1, 2, 200, 7680])
+@pytest.mark.parametrize("top", [2, 7, 31, 171])
+def test_far_parts_keep_the_vander_block(top, size):
+    # the power rows come from np.vander's running products in its F-ordered
+    # layout: a C-ordered copy of the same values changes the product's last
+    # bits (at top = 2 on a 2-vCPU x86 machine with numpy 2.4)
+    z = np.linspace(specfun._edge(top), 400.0, size)
+    want = np.reshape(families._far_table(top), (-1, 12)) @ oracles.far_powers_vander(z)
+    assert families._far_parts(top, z).tobytes() == want.tobytes()
+
+
 def test_delta_path_calls_no_polygamma(monkeypatch):
     # delta_n, log_g1_deriv and the LCM margins sum powers of x/(x+a+j), and
     # at the removable point x = 0 powers of 1/(a+j): no psi of order >= 1,
@@ -668,7 +689,7 @@ def test_delta_path_calls_no_polygamma(monkeypatch):
 
 def test_h_functions_take_one_psi_pass_on_a_float(monkeypatch):
     # from t = 1e-4 on, a float h3, h21, h31, h41 or h41' reads psi, psi' and
-    # psi'' from one specfun pass; an ndarray takes the per-order calls, in order
+    # psi'' from one specfun pass, and an ndarray from one ladder of them
     calls = []
     monkeypatch.setattr(specfun, "digamma", lambda t: calls.append(0) or digamma(t))
     monkeypatch.setattr(specfun, "polygamma", lambda n, t: calls.append(n) or polygamma(n, t))
@@ -678,12 +699,9 @@ def test_h_functions_take_one_psi_pass_on_a_float(monkeypatch):
                 fn(a, t)
             h3(1e-4, t)  # at x + a = t + 1e-4
     assert calls == []
-    ts = np.array([0.5, 3.0])
-    for fn, orders in ((h3, [0, 1]), (h21, [0, 1]), (h31, [0, 1, 2]), (h41, [0, 1]),
-                       (h41_prime, [0, 1, 2])):
-        fn(1.5, ts)
-        assert calls == orders
-        calls.clear()
+    for fn in (h3, h21, h31, h41, h41_prime):
+        fn(1.5, np.array([1e-5, 0.5, 3.0, 1e3]))
+    assert calls == []
 
 
 @pytest.mark.parametrize("a, n, x", [(1.0, 1, 1e-300), (2.0, 6, 1e-50), (2.0, 30, 1e-12),

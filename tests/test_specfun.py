@@ -325,6 +325,67 @@ def test_psi_orders_match_per_order_calls_hypothesis(x):
     _check_psi_orders(x)
 
 
+def _rows_outcome(fn, *args):
+    """fn(*args), a sequence of arrays, as each entry's hex digits row by row, or what it raised."""
+    try:
+        return [[v.hex() for v in np.ravel(row).tolist()] + [np.shape(row)] for row in fn(*args)]
+    except (DomainError, OverflowError) as e:
+        return type(e), str(e)
+
+
+_BELOW_EDGES = [math.nextafter(e, 0.0) for e in _EDGES]
+
+
+@pytest.mark.parametrize("x", [
+    [], [0.5], [5e-324], [1e300], [_EDGES[1]], [_BELOW_EDGES[2]],  # no entry, one entry
+    [1e-4, 0.37, 2.5, *_EDGES, *_BELOW_EDGES, 20.0, 1e300],  # some need no step
+    [*(e - 6.0 for e in _EDGES), *(math.nextafter(e - 6.0, 0.0) for e in _EDGES)],
+    [[0.5, 30.0], [_EDGES[0], 1e-3]],  # a 2-d row
+    [3.0, 1e-300], [3.0, 5e-324],  # psi' overflows first, then psi
+    [0.5, -1.0], [math.nan, 2.0],  # domain
+], ids=repr)
+def test_array_psi_orders_match_per_order_calls(x):
+    # one ladder gives every order, bit for bit the per-order array calls and
+    # with their errors, raised in their order
+    x = np.array(x)
+    for top in (1, 2):
+        want = _rows_outcome(lambda t: [digamma(t), *(polygamma(n, t) for n in range(1, top + 1))], x)
+        assert _rows_outcome(_psi_orders, x, top) == want, top
+
+
+def test_array_psi_orders_on_dense_rows_and_the_open_table(table):
+    # an open table gives the computed block once, and reads it back
+    rng = np.random.default_rng(31)
+    x = np.exp(rng.uniform(math.log(1e-4), math.log(50.0), 7680))
+    specfun._TABLE_OPEN.set(False)
+    want = _rows_outcome(lambda t: [digamma(t), polygamma(1, t), polygamma(2, t)], x)
+    specfun._TABLE_OPEN.set(True)
+    assert _rows_outcome(_psi_orders, x, 2) == want
+    misses = table.cache_info().misses
+    assert _rows_outcome(_psi_orders, x, 2) == want
+    assert table.cache_info().misses == misses
+
+
+_KERNEL_ROWS = {size: np.exp(np.random.default_rng(size).uniform(math.log(1e-3), math.log(200.0), size))
+                for size in (1, 2, 200, 7680)}
+
+
+@pytest.mark.parametrize("size", _KERNEL_ROWS)
+@pytest.mark.parametrize("s", [1, 2, 3, 7, 171])
+def test_euler_maclaurin_ladder_matches_the_masked_loop(s, size):
+    # the ladder keeps the masked loop's terms, their order and each final y,
+    # alone and stacked under a higher order
+    x = _KERNEL_ROWS[size].copy()
+    x[::3] += _edge(s) - 6.0  # entries at and past the edge too
+    direct, y = oracles.euler_maclaurin_masked(s, x, _edge(s))
+    with np.errstate(over="ignore"):
+        want = (direct + y**-s * specfun._remainder(s, y)).tobytes(), y.tobytes()
+        for orders in ((s,), (s, s + 1), (1, s, 172) if s > 1 else (s, 172)):
+            totals, ys = specfun._euler_maclaurin_array(orders, x)
+            i = orders.index(s)
+            assert (totals[i].tobytes(), ys[i].tobytes()) == want, orders
+
+
 # Every public function of specfun as f(x), at orders 1 and 4 where it takes one.
 _PUBLIC = {
     "log_gamma": log_gamma, "digamma": digamma,
